@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,25 +22,6 @@ from .errors import InvalidInputError, ResourceLimitError
 
 SCHEMA_VERSION = 1
 DEFAULT_SCAN_GRID = 2000
-
-
-@dataclass
-class RunConfig:
-    command: str
-    N: int
-    alpha: float = 0.0
-    beta: float = 0.0
-    p: int | None = None
-    q: int | None = None
-    tau: float | str | None = None
-    target: str = "graph"
-    output_format: str = "json"
-    output_path: str | None = None
-    seed: int = 0
-    tau_min: float = 0.0
-    tau_max: float | None = None
-    steps: int = DEFAULT_SCAN_GRID
-    trials: int = 0
 
 
 def _fmt(x) -> str:
@@ -80,9 +61,9 @@ def _render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write(text: str, cfg: RunConfig) -> None:
-    if cfg.output_path:
-        with open(cfg.output_path, "w", newline="") as handle:
+def _write(text: str, args: argparse.Namespace) -> None:
+    if args.out:
+        with open(args.out, "w", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -97,59 +78,49 @@ def _certificate_dict(cert: revival.RevivalCertificate) -> dict:
     }
 
 
-def _scan_dict(outcome: revival.ScanOutcome | None) -> dict | None:
-    if outcome is None:
-        return None
-    return {
-        "tau_max": outcome.tau_max,
-        "steps": outcome.steps,
-        "balanced_found": outcome.balanced_found,
-        "balanced_tau": outcome.balanced_tau,
-        "max_revival_sum": outcome.max_revival_sum,
-        "tau_at_max_sum": outcome.tau_at_max_sum,
-    }
+def _params(args: argparse.Namespace, cert: revival.RevivalCertificate) -> dict:
+    return {"N": args.N, "alpha": args.alpha, "beta": args.beta, "p": cert.p, "q": cert.q}
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = revival.certify_numeric(cfg.N, cfg.alpha, cfg.beta, p=cfg.p, q=cfg.q)
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = revival.certify_numeric(args.N, args.alpha, args.beta, p=args.p, q=args.q)
     cert = report.certificate
     ok = report.passed
     appendix_obj = None
     if cert.kind == revival.BALANCED_FR:
-        ap = revival.appendix_phase_check(cfg.N, cfg.alpha, cfg.beta, p=cfg.p, q=cfg.q)
-        identity_dev = ap.dense_identity_dev if ap.dense_identity_dev is not None else ap.assembled_max_dev
+        ap = revival.appendix_phase_check(args.N, args.alpha, args.beta, p=args.p, q=args.q)
         appendix_obj = {
             "delta": ap.delta,
             "phi_prime": ap.phi_prime,
             "sign": ap.sign,
-            "max_identity_dev": identity_dev,
+            "max_identity_dev": ap.max_identity_dev,
         }
         ok = ok and ap.passed
     payload = {
         "schema": SCHEMA_VERSION,
-        "params": {"N": cfg.N, "alpha": cfg.alpha, "beta": cfg.beta, "p": cert.p, "q": cert.q},
+        "params": _params(args, cert),
         "certificate": _certificate_dict(cert),
         "numeric": {"mu": report.mu, "nu": report.nu, "leakage": report.leakage},
         "appendix": appendix_obj,
-        "scan": _scan_dict(report.scan),
+        "scan": asdict(report.scan) if report.scan is not None else None,
     }
-    _write(_render_json(payload) + "\n", cfg)
+    _write(_render_json(payload) + "\n", args)
     return 0 if ok else 2
 
 
-def _resolve_tau(cfg: RunConfig) -> float:
-    if isinstance(cfg.tau, float):
-        return cfg.tau
-    cert = revival.check_conditions(cfg.N, cfg.alpha, cfg.beta, p=cfg.p, q=cfg.q)
-    if cfg.tau == "fr":
+def _resolve_tau(args: argparse.Namespace) -> float:
+    if isinstance(args.tau, float):
+        return args.tau
+    cert = revival.check_conditions(args.N, args.alpha, args.beta, p=args.p, q=args.q)
+    if args.tau == "fr":
         if cert.tau_fr is None:
             raise InvalidInputError("no FR time exists for these parameters")
         return cert.tau_fr
-    if cfg.tau == "pst":
+    if args.tau == "pst":
         if cert.tau_pst is None:
             raise InvalidInputError("no PST time exists for these parameters")
         return cert.tau_pst
-    raise InvalidInputError(f"tau must be a number, 'fr' or 'pst', got {cfg.tau!r}")
+    raise InvalidInputError(f"tau must be a number, 'fr' or 'pst', got {args.tau!r}")
 
 
 def _amplitude_rows(system: str, psi: np.ndarray, one_based: bool) -> list:
@@ -160,30 +131,30 @@ def _amplitude_rows(system: str, psi: np.ndarray, one_based: bool) -> list:
     return rows
 
 
-def cmd_evolve(cfg: RunConfig) -> int:
-    tau = _resolve_tau(cfg)
+def cmd_evolve(args: argparse.Namespace) -> int:
+    tau = _resolve_tau(args)
     rows = []
     quotient_dev = None
     leakage = None
-    if cfg.target in ("graph", "both"):
-        spec = walk.WalkSpec(M=cfg.N - 1, alpha=cfg.alpha, beta=cfg.beta)
+    if args.target in ("graph", "both"):
+        spec = walk.WalkSpec(M=args.N - 1, alpha=args.alpha, beta=args.beta)
         psi_g = walk.evolve_graph(spec, walk.corner_state(spec.M), tau)
         rows += _amplitude_rows("graph", psi_g, one_based=False)
-    if cfg.target in ("chain", "both"):
-        spec_c = chain_mod.ChainSpec(N=cfg.N, alpha=cfg.alpha, beta=cfg.beta)
-        psi_c = chain_mod.chain_evolve(spec_c, chain_mod.site_state(cfg.N, 1), tau)
+    if args.target in ("chain", "both"):
+        spec_c = chain_mod.ChainSpec(N=args.N, alpha=args.alpha, beta=args.beta)
+        psi_c = chain_mod.chain_evolve(spec_c, chain_mod.site_state(args.N, 1), tau)
         rows += _amplitude_rows("chain", psi_c, one_based=True)
-    if cfg.target == "both":
-        report = quotient.equivalence_check(cfg.N, cfg.alpha, cfg.beta, tau)
+    if args.target == "both":
+        report = quotient.equivalence_check(args.N, args.alpha, args.beta, tau)
         quotient_dev = report.max_deviation
         leakage = report.leakage
 
-    if cfg.output_format == "json":
+    if args.json:
         payload = {
             "schema": SCHEMA_VERSION,
-            "params": {"N": cfg.N, "alpha": cfg.alpha, "beta": cfg.beta},
+            "params": {"N": args.N, "alpha": args.alpha, "beta": args.beta},
             "tau": tau,
-            "target": cfg.target,
+            "target": args.target,
             "amplitudes": [
                 {"system": r[0], "index": r[1], "re": r[2], "im": r[3], "probability": r[4]}
                 for r in rows
@@ -191,7 +162,7 @@ def cmd_evolve(cfg: RunConfig) -> int:
             "quotient_max_deviation": quotient_dev,
             "leakage": leakage,
         }
-        _write(_render_json(payload) + "\n", cfg)
+        _write(_render_json(payload) + "\n", args)
     else:
         lines = ["system,index,re,im,probability"]
         for r in rows:
@@ -199,42 +170,42 @@ def cmd_evolve(cfg: RunConfig) -> int:
         if quotient_dev is not None:
             lines.append(f"# quotient_max_deviation = {_fmt(quotient_dev)}")
             lines.append(f"# leakage = {_fmt(leakage)}")
-        _write("\n".join(lines) + "\n", cfg)
+        _write("\n".join(lines) + "\n", args)
     return 0
 
 
-def cmd_scan(cfg: RunConfig) -> int:
-    tau_max = cfg.tau_max
+def cmd_scan(args: argparse.Namespace) -> int:
+    tau_max = args.tau_max
     if tau_max is None:
-        scales = [abs(v) for v in (cfg.alpha, cfg.beta) if v != 0.0]
+        scales = [abs(v) for v in (args.alpha, args.beta) if v != 0.0]
         if not scales:
             raise InvalidInputError("(alpha, beta) != (0, 0) required")
         tau_max = 2.0 * math.pi / min(scales)
-    if not (tau_max > cfg.tau_min):
-        raise InvalidInputError(f"empty tau range [{cfg.tau_min}, {tau_max}]")
-    if cfg.steps < 1:
+    if not (tau_max > args.tau_min):
+        raise InvalidInputError(f"empty tau range [{args.tau_min}, {tau_max}]")
+    if args.steps < 1:
         raise InvalidInputError("need at least one step")
-    spec = walk.WalkSpec(M=cfg.N - 1, alpha=cfg.alpha, beta=cfg.beta)
-    taus = np.linspace(cfg.tau_min, tau_max, cfg.steps + 1)
+    spec = walk.WalkSpec(M=args.N - 1, alpha=args.alpha, beta=args.beta)
+    taus = np.linspace(args.tau_min, tau_max, args.steps + 1)
     mus, nus = walk.antipodal_scan(spec, taus)
     lines = ["tau,p_corner,p_antipode,leakage"]
     for t, mu, nu in zip(taus, mus, nus):
         p_corner = abs(mu) ** 2
         p_anti = abs(nu) ** 2
         lines.append(f"{_fmt(t)},{_fmt(p_corner)},{_fmt(p_anti)},{_fmt(1.0 - p_corner - p_anti)}")
-    _write("\n".join(lines) + "\n", cfg)
+    _write("\n".join(lines) + "\n", args)
     return 0
 
 
-def cmd_quotient(cfg: RunConfig) -> int:
-    table = quotient.quotient_matrix_elements(cfg.N)
-    shifted = quotient.verify_shifted_diagonal(cfg.N)
+def cmd_quotient(args: argparse.Namespace) -> int:
+    table = quotient.quotient_matrix_elements(args.N)
+    shifted = quotient.verify_shifted_diagonal(args.N)
     ok = table.exact_closed_forms and table.max_closed_form_deviation < 1e-12 and shifted.passed
 
     equivalence_obj = None
-    if cfg.tau is not None:
-        tau = _resolve_tau(cfg)
-        rep = quotient.equivalence_check(cfg.N, cfg.alpha, cfg.beta, tau)
+    if args.tau is not None:
+        tau = _resolve_tau(args)
+        rep = quotient.equivalence_check(args.N, args.alpha, args.beta, tau)
         equivalence_obj = {
             "tau": rep.tau,
             "max_deviation": rep.max_deviation,
@@ -244,22 +215,22 @@ def cmd_quotient(cfg: RunConfig) -> int:
         ok = ok and rep.passed
 
     random_obj = None
-    if cfg.trials > 0:
-        rng = np.random.default_rng(cfg.seed)
+    if args.random_trials > 0:
+        rng = np.random.default_rng(args.seed)
         worst_dev = 0.0
         worst_leak = 0.0
-        for _ in range(cfg.trials):
+        for _ in range(args.random_trials):
             alpha = float(rng.uniform(-2.0, 2.0))
             beta = float(rng.uniform(-2.0, 2.0))
             if abs(alpha) < 1e-3 and abs(beta) < 1e-3:
                 alpha = 1.0
             tau = float(rng.uniform(0.0, 2.0 * math.pi))
-            rep = quotient.equivalence_check(cfg.N, alpha, beta, tau)
+            rep = quotient.equivalence_check(args.N, alpha, beta, tau)
             worst_dev = max(worst_dev, rep.max_deviation)
             worst_leak = max(worst_leak, abs(rep.leakage))
         random_obj = {
-            "trials": cfg.trials,
-            "seed": cfg.seed,
+            "trials": args.random_trials,
+            "seed": args.seed,
             "max_deviation": worst_dev,
             "max_leakage": worst_leak,
         }
@@ -267,7 +238,7 @@ def cmd_quotient(cfg: RunConfig) -> int:
 
     payload = {
         "schema": SCHEMA_VERSION,
-        "N": cfg.N,
+        "N": args.N,
         "elements": {
             "a1_upper": list(table.a1_upper),
             "a2_upper": list(table.a2_upper),
@@ -279,16 +250,16 @@ def cmd_quotient(cfg: RunConfig) -> int:
         "equivalence": equivalence_obj,
         "random_equivalence": random_obj,
     }
-    _write(_render_json(payload) + "\n", cfg)
+    _write(_render_json(payload) + "\n", args)
     return 0 if ok else 2
 
 
-def cmd_appendix(cfg: RunConfig) -> int:
-    report = revival.appendix_phase_check(cfg.N, cfg.alpha, cfg.beta, p=cfg.p, q=cfg.q)
-    cert = revival.check_conditions(cfg.N, cfg.alpha, cfg.beta, p=cfg.p, q=cfg.q)
+def cmd_appendix(args: argparse.Namespace) -> int:
+    report = revival.appendix_phase_check(args.N, args.alpha, args.beta, p=args.p, q=args.q)
+    cert = revival.check_conditions(args.N, args.alpha, args.beta, p=args.p, q=args.q)
     payload = {
         "schema": SCHEMA_VERSION,
-        "params": {"N": cfg.N, "alpha": cfg.alpha, "beta": cfg.beta, "p": cert.p, "q": cert.q},
+        "params": _params(args, cert),
         "certificate": _certificate_dict(cert),
         "appendix": {
             "tau": report.tau,
@@ -300,14 +271,10 @@ def cmd_appendix(cfg: RunConfig) -> int:
             "delta_dev": report.delta_dev,
             "assembled_max_dev": report.assembled_max_dev,
             "phi_consistency_dev": report.phi_consistency_dev,
-            "max_identity_dev": (
-                report.dense_identity_dev
-                if report.dense_identity_dev is not None
-                else report.assembled_max_dev
-            ),
+            "max_identity_dev": report.max_identity_dev,
         },
     }
-    _write(_render_json(payload) + "\n", cfg)
+    _write(_render_json(payload) + "\n", args)
     return 0 if report.passed else 2
 
 
@@ -362,32 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, N=args.N)
-    cfg.alpha = args.alpha
-    cfg.beta = args.beta
-    cfg.p = args.p
-    cfg.q = args.q
-    cfg.output_path = args.out
-    if hasattr(args, "tau"):
-        cfg.tau = args.tau
-    if hasattr(args, "target"):
-        cfg.target = args.target
-    if args.command == "evolve":
-        cfg.output_format = "json" if args.json else "csv"
-    elif args.command == "scan":
-        cfg.output_format = "csv"
-        cfg.tau_min = args.tau_min
-        cfg.tau_max = args.tau_max
-        cfg.steps = args.steps
-    else:
-        cfg.output_format = "json"
-    if hasattr(args, "random_trials"):
-        cfg.trials = args.random_trials
-        cfg.seed = args.seed
-    return cfg
-
-
 _COMMANDS = {
     "verify": cmd_verify,
     "evolve": cmd_evolve,
@@ -403,12 +344,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    cfg = _config_from_args(args)
-    if cfg.command == "evolve" and cfg.tau is None:
+    if args.command == "evolve" and args.tau is None:
         print("error: evolve requires --tau", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except (InvalidInputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -86,5 +86,6 @@ def graph_eigenvalue(s: int, spec) -> float:
 
 def graph_eigenvalues(spec) -> np.ndarray:
     """All walk eigenvalues indexed by s = 0..M as a float array."""
-    table = spectrum_table(spec.M)
-    return 0.5 * spec.alpha * table.p2 + 0.5 * spec.beta * table.lam
+    # lambda_s = M - 2s directly: spectrum_table's int64 C(M, s) overflow from M = 67 on
+    lam = (spec.M - 2 * np.arange(spec.M + 1)).astype(float)
+    return 0.5 * spec.alpha * ((lam * lam - spec.M) / 2.0) + 0.5 * spec.beta * lam

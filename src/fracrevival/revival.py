@@ -78,6 +78,8 @@ def check_conditions(
     """
     if N < 2:
         raise InvalidInputError(f"need N >= 2, got {N}")
+    if not (np.isfinite(alpha) and np.isfinite(beta)):
+        raise InvalidInputError("alpha and beta must be finite")
     if alpha == 0.0 and beta == 0.0:
         raise InvalidInputError("(alpha, beta) != (0, 0) required")
 
@@ -198,7 +200,6 @@ def certify_numeric(
     """
     cert = check_conditions(N, alpha, beta, p=p, q=q)
     spec = walk.WalkSpec(M=N - 1, alpha=alpha, beta=beta)
-    checks: dict = {}
 
     if cert.kind == BALANCED_FR:
         amp = walk.antipodal_amplitudes(spec, cert.tau_fr)
@@ -275,6 +276,11 @@ class AppendixReport:
         if self.dense_identity_dev is not None:
             devs.append(self.dense_identity_dev)
         return max(devs) < 1e-10
+
+    @property
+    def max_identity_dev(self) -> float:
+        """The entrywise dense deviation where it was computed, else the eigenvalue-level one."""
+        return self.dense_identity_dev if self.dense_identity_dev is not None else self.assembled_max_dev
 
 
 def appendix_phase_check(

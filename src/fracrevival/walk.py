@@ -13,28 +13,31 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kraw, scheme
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, require_unit_norm
 
-NORM_TOL = 1e-12
-
-# ~1 GiB of complex amplitudes; override with REVIVAL_MAX_M at your own risk.
+# The state alone is ~1 GiB of complex amplitudes at M = 26, and an evolution
+# peaks at several times that; override with REVIVAL_MAX_M at your own risk.
 DEFAULT_MAX_M = 26
 ORACLE_MAX_M = 10
 
 
-def max_bits() -> int:
+def check_size(M: int) -> None:
+    """Refuse M above the guard, REVIVAL_MAX_M or else DEFAULT_MAX_M, before any 2^M allocation."""
     raw = os.environ.get("REVIVAL_MAX_M")
-    if raw is None:
-        return DEFAULT_MAX_M
     try:
-        return int(raw)
+        limit = DEFAULT_MAX_M if raw is None else int(raw)
     except ValueError as exc:
         raise InvalidInputError(f"REVIVAL_MAX_M must be an integer, got {raw!r}") from exc
+    if M > limit:
+        raise ResourceLimitError(
+            f"M = {M} exceeds the guard ({limit}); set REVIVAL_MAX_M to override"
+        )
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,7 @@ class WalkSpec:
 
 def basis_state(M: int, vertex: int) -> np.ndarray:
     """Unit amplitude vector localized on one vertex of {0,1}^M."""
+    check_size(M)
     size = 1 << M
     if not 0 <= vertex < size:
         raise InvalidInputError(f"vertex must lie in [0, 2^{M}), got {vertex}")
@@ -69,12 +73,6 @@ def basis_state(M: int, vertex: int) -> np.ndarray:
 def corner_state(M: int) -> np.ndarray:
     """The walk's canonical start: everything at the all-zeros corner."""
     return basis_state(M, 0)
-
-
-def _require_unit_norm(psi: np.ndarray) -> None:
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise InvalidInputError(f"state norm is {norm!r}, expected 1 within {NORM_TOL}")
 
 
 def fwht(psi: np.ndarray) -> np.ndarray:
@@ -113,11 +111,7 @@ def evolve_graph(spec: WalkSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
     The transform index z picks up the eigenphase of s = popcount(z); no
     numerical diagonalization is involved anywhere on this path.
     """
-    limit = max_bits()
-    if spec.M > limit:
-        raise ResourceLimitError(
-            f"M = {spec.M} exceeds the guard ({limit}); set REVIVAL_MAX_M to override"
-        )
+    check_size(spec.M)
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (spec.size,):
         raise InvalidInputError(
@@ -125,7 +119,7 @@ def evolve_graph(spec: WalkSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
         )
     if not np.isfinite(tau):
         raise InvalidInputError("tau must be finite")
-    _require_unit_norm(psi0)
+    require_unit_norm(psi0)
     phases = phase_table(spec, tau)
     transformed = fwht(psi0)
     transformed *= phases[scheme.hamming_weights(spec.M)]
@@ -172,48 +166,19 @@ def antipodal_amplitudes(spec: WalkSpec, tau: float) -> AntipodalAmplitudes:
     return AntipodalAmplitudes(mu=mu, nu=nu, leakage=1.0 - abs(mu) ** 2 - abs(nu) ** 2)
 
 
-def _fwht_rows(rows: np.ndarray) -> np.ndarray:
-    """Normalized Walsh-Hadamard transform of each row; mutates its argument."""
-    b, n = rows.shape
-    h = 1
-    while h < n:
-        rows = rows.reshape(b, -1, 2, h)
-        top = rows[:, :, 0, :] + rows[:, :, 1, :]
-        bottom = rows[:, :, 0, :] - rows[:, :, 1, :]
-        rows[:, :, 0, :] = top
-        rows[:, :, 1, :] = bottom
-        rows = rows.reshape(b, n)
-        h *= 2
-    rows *= 1.0 / np.sqrt(n)
-    return rows
-
-
-def antipodal_scan(spec: WalkSpec, taus: np.ndarray, chunk: int = 512):
+def antipodal_scan(spec: WalkSpec, taus: np.ndarray):
     """Corner-start antipodal amplitudes (mu, nu) at many times at once.
 
-    Equivalent to calling antipodal_amplitudes per tau: the corner's transform
-    is the uniform vector, so each time needs only one phase multiply and one
-    transform, batched here in row blocks.
+    Equal to antipodal_amplitudes per tau within rounding: the corner-started
+    walk stays in the column space, so mu = 2^-M sum_s C(M,s) e^{-i tau E_s}
+    and nu is the same sum with a factor (-1)^s, at O(M) per time.  The size
+    guard applies as for evolution, so scans refuse the same M.
     """
-    limit = max_bits()
-    if spec.M > limit:
-        raise ResourceLimitError(
-            f"M = {spec.M} exceeds the guard ({limit}); set REVIVAL_MAX_M to override"
-        )
+    check_size(spec.M)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    energies = kraw.graph_eigenvalues(spec)
-    weights = scheme.hamming_weights(spec.M).astype(np.int64)
-    scale = 1.0 / np.sqrt(spec.size)
-    mus = np.empty(len(taus), dtype=complex)
-    nus = np.empty(len(taus), dtype=complex)
-    for start in range(0, len(taus), chunk):
-        block = taus[start:start + chunk]
-        rows = np.exp(-1j * np.outer(block, energies))[:, weights]
-        rows *= scale
-        rows = _fwht_rows(rows)
-        mus[start:start + len(block)] = rows[:, 0]
-        nus[start:start + len(block)] = rows[:, -1]
-    return mus, nus
+    weights = np.array([comb(spec.M, s) / 2 ** spec.M for s in range(spec.M + 1)])
+    phases = np.exp(-1j * np.outer(taus, kraw.graph_eigenvalues(spec)))
+    return phases @ weights, phases @ (weights * (-1.0) ** np.arange(spec.M + 1))
 
 
 def remove_global_phase(psi: np.ndarray) -> np.ndarray:

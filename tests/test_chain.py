@@ -57,12 +57,20 @@ def test_hamiltonian_nnn_only_three_sites():
 
 def test_hamiltonian_factorizes_through_hopping_matrix():
     rng = np.random.default_rng(6)
-    for N in (2, 3, 5, 9):
+    for N in (2, 3, 5, 9, 15):
         alpha, beta = rng.uniform(-3, 3, size=2)
         op = chain.build_hamiltonian(chain.ChainSpec(N=N, alpha=float(alpha), beta=float(beta)))
         J = chain.hopping_matrix(N)
         np.testing.assert_array_equal(op.to_dense(), op.to_dense().T)
         assert np.abs(op.to_dense() - (alpha * J @ J + beta * J)).max() < 1e-14
+    # at N = 40 entries reach ~300, where one ulp exceeds 1e-14, so the bound
+    # is 1e-14 relative to the largest entry
+    alpha, beta = rng.uniform(-3, 3, size=2)
+    op = chain.build_hamiltonian(chain.ChainSpec(N=40, alpha=float(alpha), beta=float(beta)))
+    J = chain.hopping_matrix(40)
+    reference = alpha * J @ J + beta * J
+    np.testing.assert_array_equal(op.to_dense(), op.to_dense().T)
+    assert np.abs(op.to_dense() - reference).max() < 1e-14 * np.abs(reference).max()
 
 
 def test_hamiltonian_commutes_with_reversal():

@@ -46,6 +46,14 @@ def test_verify_rejects_degenerate_couplings(capsys):
     assert "(alpha, beta) != (0, 0)" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_rejects_non_finite_couplings(capsys, value):
+    code, out, err = run(capsys, ["verify", "--N", "5", "--alpha", value, "--beta", "1"])
+    assert code == 1
+    assert out == ""
+    assert "alpha and beta must be finite" in err
+
+
 def test_verify_mismatch_exits_two(capsys):
     # the two-site exception: certificate says none, the scan finds revival
     code, out, _ = run(capsys, ["verify", "--N", "2", "--alpha", "1", "--beta", "2"])

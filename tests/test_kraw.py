@@ -109,6 +109,13 @@ def test_graph_eigenvalues_match_dense_spectrum():
         np.testing.assert_allclose(np.sort(analytic), dense, atol=1e-10)
 
 
+def test_graph_eigenvalues_beyond_int64_binomials():
+    # at M = 80 some C(M, s) exceed int64; the spectrum must not depend on them
+    spec = walk.WalkSpec(M=80, alpha=1.3, beta=-0.7)
+    expected = [kraw.graph_eigenvalue(s, spec) for s in range(81)]
+    np.testing.assert_array_equal(kraw.graph_eigenvalues(spec), expected)
+
+
 def test_graph_eigenvalue_range_check():
     spec = walk.WalkSpec(M=4, alpha=1.0, beta=1.0)
     with pytest.raises(InvalidInputError):

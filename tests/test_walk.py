@@ -164,13 +164,15 @@ def test_antipodal_amplitudes_pst():
 
 
 def test_antipodal_scan_matches_pointwise_evolution():
-    spec = walk.WalkSpec(M=4, alpha=1.3, beta=0.9)
-    taus = np.linspace(0.0, 5.0, 37)
-    mus, nus = walk.antipodal_scan(spec, taus)
-    for t, mu, nu in zip(taus, mus, nus):
-        amp = walk.antipodal_amplitudes(spec, float(t))
-        assert abs(mu - amp.mu) < 1e-12
-        assert abs(nu - amp.nu) < 1e-12
+    # the closed-form scan against the FWHT evolution it replaces
+    for M in (1, 4, 8, 14):
+        spec = walk.WalkSpec(M=M, alpha=1.3, beta=0.9)
+        taus = np.linspace(0.0, 5.0, 37)
+        mus, nus = walk.antipodal_scan(spec, taus)
+        for t, mu, nu in zip(taus, mus, nus):
+            amp = walk.antipodal_amplitudes(spec, float(t))
+            assert abs(mu - amp.mu) < 1e-12
+            assert abs(nu - amp.nu) < 1e-12
 
 
 def test_resource_guard_and_env_override(monkeypatch):
@@ -185,6 +187,8 @@ def test_resource_guard_and_env_override(monkeypatch):
     with pytest.raises(ResourceLimitError):
         # guard fires before any allocation, so the dummy state is never touched
         walk.evolve_graph(walk.WalkSpec(M=27, alpha=1.0, beta=1.0), np.zeros(1), 1.0)
+    with pytest.raises(ResourceLimitError):
+        walk.corner_state(27)  # refused before the 2 GiB start state is allocated
 
 
 def test_remove_global_phase():
