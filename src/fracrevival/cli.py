@@ -9,6 +9,7 @@ verification mismatch (certificate and numerics disagree).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -175,6 +176,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    spec = walk.WalkSpec(M=args.N - 1, alpha=args.alpha, beta=args.beta)
     tau_max = args.tau_max
     if tau_max is None:
         scales = [abs(v) for v in (args.alpha, args.beta) if v != 0.0]
@@ -185,7 +187,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"empty tau range [{args.tau_min}, {tau_max}]")
     if args.steps < 1:
         raise InvalidInputError("need at least one step")
-    spec = walk.WalkSpec(M=args.N - 1, alpha=args.alpha, beta=args.beta)
+    revival.check_scan_steps(args.steps)
     taus = np.linspace(args.tau_min, tau_max, args.steps + 1)
     mus, nus = walk.antipodal_scan(spec, taus)
     lines = ["tau,p_corner,p_antipode,leakage"]
@@ -198,6 +200,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
+    if args.random_trials < 0:
+        raise InvalidInputError(f"random trials must be non-negative, got {args.random_trials}")
     table = quotient.quotient_matrix_elements(args.N)
     shifted = quotient.verify_shifted_diagonal(args.N)
     ok = table.exact_closed_forms and table.max_closed_form_deviation < 1e-12 and shifted.passed
@@ -287,7 +291,9 @@ def _tau_arg(raw: str):
         raise argparse.ArgumentTypeError(f"tau must be a number, 'fr' or 'pst', got {raw!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="fracrevival",
         description="Balanced fractional revival on the hypercube with face diagonals.",

@@ -35,6 +35,7 @@ MAX_DENOMINATOR = 10 ** 6
 PROB_TOL = 1e-9          # on probabilities at certified times
 SCAN_TOL = 1e-6          # revival detection threshold on the tau grid
 DEFAULT_SCAN_STEPS = 10 ** 4
+MAX_SCAN_STEPS = 10 ** 6  # the grid's phase matrix is (steps+1) x (M+1) complex values
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,12 @@ class ScanOutcome:
     tau_at_max_sum: float
 
 
+def check_scan_steps(steps: int) -> None:
+    """Refuse a tau grid above MAX_SCAN_STEPS steps before it is allocated."""
+    if steps > MAX_SCAN_STEPS:
+        raise InvalidInputError(f"steps must be at most {MAX_SCAN_STEPS}, got {steps}")
+
+
 def scan_balanced_fr(
     spec: walk.WalkSpec, tau_max: float, steps: int = DEFAULT_SCAN_STEPS
 ) -> ScanOutcome:
@@ -143,6 +150,7 @@ def scan_balanced_fr(
     """
     if steps < 1 or tau_max <= 0:
         raise InvalidInputError("need tau_max > 0 and at least one step")
+    check_scan_steps(steps)
     taus = np.linspace(0.0, tau_max, steps + 1)
     mus, nus = walk.antipodal_scan(spec, taus)
     pm = np.abs(mus) ** 2

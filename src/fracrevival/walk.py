@@ -5,8 +5,10 @@ edges carry weight beta/2 and face diagonals weight alpha/2.  Both operators
 are diagonalized by the +-1 character vectors of (Z_2)^M, so evolution is
 exact and analytic: Walsh-Hadamard transform, multiply by the per-weight
 eigenphases exp(-i tau E_s), transform back.  Cost O(M 2^M) with bit-exact
-deterministic output; a dense eigendecomposition path exists purely as a
-test oracle for small M.
+deterministic output: the transform fuses its butterfly stages in pairs,
+ceil(M/2) passes over memory instead of M, in the radix-2 order, so the output
+bits do not depend on the fusion.  A dense eigendecomposition path exists
+purely as a test oracle for small M.
 """
 
 from __future__ import annotations
@@ -79,8 +81,11 @@ def fwht(psi: np.ndarray) -> np.ndarray:
     """Normalized Walsh-Hadamard transform (unitary, involutive).
 
     Component z of the output is 2^(-M/2) * sum_x (-1)^(x.z) psi(x).  The
-    butterfly stages run in a fixed order over vectorized slices, so the
-    floating-point result is deterministic.
+    radix-2 butterfly stages h = 1, 2, 4, ... are fused in pairs (h, 2h) into
+    one radix-4 pass over memory, with a last radix-2 stage when M is odd.
+    A fused pass performs the same additions in the same order as the two
+    stages it replaces, so the output bits do not depend on the fusion and
+    the result is deterministic.
     """
     psi = np.asarray(psi)
     n = psi.shape[0] if psi.ndim == 1 else 0
@@ -88,14 +93,22 @@ def fwht(psi: np.ndarray) -> np.ndarray:
         raise InvalidInputError("input length must be a power of two")
     out = psi.astype(complex, copy=True)
     h = 1
-    while h < n:
-        out = out.reshape(-1, 2, h)
-        top = out[:, 0, :] + out[:, 1, :]
-        bottom = out[:, 0, :] - out[:, 1, :]
-        out[:, 0, :] = top
-        out[:, 1, :] = bottom
-        out = out.reshape(n)
-        h *= 2
+    while 4 * h <= n:
+        x = out.reshape(-1, 4, h)
+        t0 = x[:, 0] + x[:, 1]
+        t1 = x[:, 0] - x[:, 1]
+        t2 = x[:, 2] + x[:, 3]
+        t3 = x[:, 2] - x[:, 3]
+        np.add(t0, t2, out=x[:, 0])
+        np.subtract(t0, t2, out=x[:, 2])
+        np.add(t1, t3, out=x[:, 1])
+        np.subtract(t1, t3, out=x[:, 3])
+        h *= 4
+    if h < n:
+        x = out.reshape(2, h)
+        top = x[0] + x[1]
+        np.subtract(x[0], x[1], out=x[1])
+        x[0] = top
     out *= 1.0 / np.sqrt(n)
     return out
 

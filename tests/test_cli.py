@@ -5,7 +5,7 @@ from math import pi
 
 import pytest
 
-from fracrevival import cli
+from fracrevival import cli, revival
 
 
 def run(capsys, argv):
@@ -190,6 +190,37 @@ def test_scan_empty_range(capsys):
     assert "empty" in err
 
 
+class GridReached(Exception):
+    pass
+
+
+def test_scan_steps_are_bounded(capsys, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise GridReached(args)
+
+    monkeypatch.setattr(cli.np, "linspace", no_grid)
+    for steps in (revival.MAX_SCAN_STEPS + 1, 10 ** 8):
+        code, out, err = run(
+            capsys, ["scan", "--N", "4", "--alpha", "1", "--beta", "1", "--steps", str(steps)]
+        )
+        assert code == 1
+        assert out == ""
+        assert f"steps must be at most {revival.MAX_SCAN_STEPS}" in err
+    # the largest accepted grid gets as far as np.linspace(start, stop, steps + 1)
+    with pytest.raises(GridReached) as reached:
+        cli.main(["scan", "--N", "4", "--alpha", "1", "--beta", "1",
+                  "--steps", str(revival.MAX_SCAN_STEPS)])
+    assert reached.value.args[0][2] == revival.MAX_SCAN_STEPS + 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_scan_rejects_non_finite_couplings(capsys, value):
+    code, out, err = run(capsys, ["scan", "--N", "5", "--alpha", value, "--beta", "1"])
+    assert code == 1
+    assert out == ""
+    assert "alpha and beta must be finite" in err
+
+
 def test_quotient_command(capsys):
     code, out, _ = run(capsys, ["quotient", "--N", "6"])
     assert code == 0
@@ -211,6 +242,13 @@ def test_quotient_with_equivalence_and_random_trials(capsys):
     assert payload["equivalence"]["passed"] is True
     assert payload["random_equivalence"]["trials"] == 5
     assert payload["random_equivalence"]["max_deviation"] < 1e-10
+
+
+def test_quotient_rejects_negative_random_trials(capsys):
+    code, out, err = run(capsys, ["quotient", "--N", "5", "--random-trials", "-3"])
+    assert code == 1
+    assert out == ""
+    assert "random trials must be non-negative" in err
 
 
 def test_quotient_symbolic_tau(capsys):
@@ -280,3 +318,30 @@ def test_usage_error_maps_to_exit_one(capsys):
 def test_float_serialization_is_17_digits(capsys):
     _, out, _ = run(capsys, ["verify", "--N", "4", "--alpha", "2", "--beta", "2"])
     assert '"tau_fr": 0.78539816339744828' in out
+
+
+def test_cached_parser_carries_no_state(tmp_path, capsys):
+    # each command gives, after the others in one process, what it gives alone
+    usage = ["verify"]
+    evolve = ["evolve", "--N", "4", "--alpha", "2", "--beta", "2", "--tau", "fr"]
+    verify = ["verify", "--N", "5", "--alpha", "2", "--beta", "2"]
+    target = tmp_path / "amplitudes.csv"
+    sequence = [
+        run(capsys, usage),
+        run(capsys, evolve + ["--out", str(target)]),
+        run(capsys, evolve),
+        run(capsys, verify),
+    ]
+    written = target.read_text()
+    cli.build_parser.cache_clear()
+    assert sequence[0] == run(capsys, usage)
+    assert sequence[0][0] == 1
+    cli.build_parser.cache_clear()
+    target.unlink()
+    assert sequence[1] == run(capsys, evolve + ["--out", str(target)]) == (0, "", "")
+    assert target.read_text() == written
+    cli.build_parser.cache_clear()
+    assert sequence[2] == run(capsys, evolve) == (0, written, "")
+    cli.build_parser.cache_clear()
+    assert sequence[3] == run(capsys, verify)
+    assert sequence[3][0] == 0

@@ -249,3 +249,11 @@ def test_appendix_dense_check_skipped_for_large_m():
 def test_scan_rejects_empty_grid():
     with pytest.raises(InvalidInputError):
         revival.scan_balanced_fr(walk.WalkSpec(3, 1.0, 1.0), 0.0)
+
+
+def test_scan_grid_is_bounded():
+    spec = walk.WalkSpec(1, 1.0, 1.0)
+    with pytest.raises(InvalidInputError, match="at most"):
+        revival.scan_balanced_fr(spec, 2 * pi, steps=revival.MAX_SCAN_STEPS + 1)
+    outcome = revival.scan_balanced_fr(spec, 2 * pi, steps=revival.MAX_SCAN_STEPS)
+    assert outcome.steps == revival.MAX_SCAN_STEPS

@@ -44,6 +44,35 @@ def test_fwht_matches_character_sum():
         assert abs(out[z] - signs @ psi / sqrt(8)) < 1e-14
 
 
+def radix2_fwht(psi):
+    # the transform as one radix-2 butterfly stage per bit, h = 1, 2, 4, ...
+    out = np.asarray(psi).astype(complex, copy=True)
+    n = out.shape[0]
+    h = 1
+    while h < n:
+        out = out.reshape(-1, 2, h)
+        top = out[:, 0, :] + out[:, 1, :]
+        bottom = out[:, 0, :] - out[:, 1, :]
+        out[:, 0, :] = top
+        out[:, 1, :] = bottom
+        out = out.reshape(n)
+        h *= 2
+    out *= 1.0 / np.sqrt(n)
+    return out
+
+
+def test_fwht_bits_match_radix2_stage_order():
+    # fusing stages in pairs must keep every output bit, for odd and even M
+    # and for M = 1, where no fused pass runs
+    rng = np.random.default_rng(17)
+    for M in range(13):
+        real = rng.normal(size=1 << M)
+        for psi in (real, random_state(rng, 1 << M)):
+            assert np.array_equal(
+                walk.fwht(psi).view(np.uint64), radix2_fwht(psi).view(np.uint64)
+            ), M
+
+
 def test_fwht_rejects_bad_length():
     with pytest.raises(InvalidInputError):
         walk.fwht(np.zeros(6))
