@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, require_unit_norm
+from .errors import InvalidInputError, require_finite_phase, require_unit_norm
 
 
 @dataclass(frozen=True)
@@ -115,4 +115,5 @@ def chain_evolve(spec: ChainSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
         raise InvalidInputError("(alpha, beta) = (0, 0) has no dynamics to evolve")
     h = build_hamiltonian(spec).to_dense()
     w, v = np.linalg.eigh(h)
+    require_finite_phase(tau, w)
     return v @ (np.exp(-1j * tau * w) * (v.T @ psi0))

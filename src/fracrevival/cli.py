@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -23,6 +24,23 @@ from .errors import InvalidInputError, ResourceLimitError
 
 SCHEMA_VERSION = 1
 DEFAULT_SCAN_GRID = 2000
+
+# Table reports are formatted one %-template per row, on plain Python values,
+# and written ROWS_PER_BLOCK rows at a time.  "%.17g" % x is format(x, ".17g"),
+# and each template reproduces the bytes _render_json gives the same row.
+ROWS_PER_BLOCK = 4096
+AMPLITUDE_CSV_ROW = "%s,%d,%.17g,%.17g,%.17g\n"
+AMPLITUDE_JSON_ROW = (
+    "    {\n"
+    '      "system": "%s",\n'
+    '      "index": %d,\n'
+    '      "re": %.17g,\n'
+    '      "im": %.17g,\n'
+    '      "probability": %.17g\n'
+    "    }"
+)
+SCAN_CSV_ROW = "%.17g,%.17g,%.17g,%.17g\n"
+_TABLE = "\0table"  # stands in for the amplitude list while the JSON envelope is rendered
 
 
 def _fmt(x) -> str:
@@ -62,12 +80,28 @@ def _render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write(text: str, args: argparse.Namespace) -> None:
+def _require_finite(*arrays: np.ndarray) -> None:
+    """Refuse a table with a NaN or infinity, before any byte of the report is written."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InvalidInputError("non-finite value in report")
+
+
+def _blocks(template: str, rows, sep: str = ""):
+    """Format each row with one %-template; yield ROWS_PER_BLOCK rows a piece, joined by sep."""
+    rows = iter(rows)
+    lead = ""
+    while block := [template % row for row in itertools.islice(rows, ROWS_PER_BLOCK)]:
+        yield lead + sep.join(block)
+        lead = sep
+
+
+def _write(pieces, args: argparse.Namespace) -> None:
+    """Write the text pieces in order to --out or stdout; the report is never joined whole."""
     if args.out:
         with open(args.out, "w", newline="") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _certificate_dict(cert: revival.RevivalCertificate) -> dict:
@@ -105,7 +139,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "appendix": appendix_obj,
         "scan": asdict(report.scan) if report.scan is not None else None,
     }
-    _write(_render_json(payload) + "\n", args)
+    _write([_render_json(payload) + "\n"], args)
     return 0 if ok else 2
 
 
@@ -124,31 +158,37 @@ def _resolve_tau(args: argparse.Namespace) -> float:
     raise InvalidInputError(f"tau must be a number, 'fr' or 'pst', got {args.tau!r}")
 
 
-def _amplitude_rows(system: str, psi: np.ndarray, one_based: bool) -> list:
-    rows = []
-    for i, a in enumerate(psi):
-        idx = i + 1 if one_based else i
-        rows.append([system, idx, a.real, a.imag, abs(a) ** 2])
-    return rows
+def _amplitude_rows(system: str, psi: np.ndarray, first: int):
+    """(system, index, re, im, probability) per amplitude, as Python values.
+
+    The state is checked for finiteness first.  The probability is
+    abs(c) ** 2 on the Python complex, equal bit for bit to numpy's scalar
+    abs(c) ** 2; the vectorized np.abs(psi) ** 2 differs in the last bits.
+    """
+    _require_finite(psi)
+    probabilities = [abs(c) ** 2 for c in psi.tolist()]
+    return zip(itertools.repeat(system), itertools.count(first),
+               psi.real.tolist(), psi.imag.tolist(), probabilities)
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     tau = _resolve_tau(args)
-    rows = []
+    states = []
     quotient_dev = None
     leakage = None
     if args.target in ("graph", "both"):
         spec = walk.WalkSpec(M=args.N - 1, alpha=args.alpha, beta=args.beta)
         psi_g = walk.evolve_graph(spec, walk.corner_state(spec.M), tau)
-        rows += _amplitude_rows("graph", psi_g, one_based=False)
+        states.append(("graph", psi_g, 0))
     if args.target in ("chain", "both"):
         spec_c = chain_mod.ChainSpec(N=args.N, alpha=args.alpha, beta=args.beta)
         psi_c = chain_mod.chain_evolve(spec_c, chain_mod.site_state(args.N, 1), tau)
-        rows += _amplitude_rows("chain", psi_c, one_based=True)
+        states.append(("chain", psi_c, 1))
     if args.target == "both":
-        report = quotient.equivalence_check(args.N, args.alpha, args.beta, tau)
+        report = quotient.compare_states(args.N, args.alpha, args.beta, tau, psi_g, psi_c)
         quotient_dev = report.max_deviation
         leakage = report.leakage
+    rows = itertools.chain(*[_amplitude_rows(*state) for state in states])
 
     if args.json:
         payload = {
@@ -156,23 +196,29 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             "params": {"N": args.N, "alpha": args.alpha, "beta": args.beta},
             "tau": tau,
             "target": args.target,
-            "amplitudes": [
-                {"system": r[0], "index": r[1], "re": r[2], "im": r[3], "probability": r[4]}
-                for r in rows
-            ],
+            "amplitudes": _TABLE,
             "quotient_max_deviation": quotient_dev,
             "leakage": leakage,
         }
-        _write(_render_json(payload) + "\n", args)
+        head, tail = (_render_json(payload) + "\n").split(json.dumps(_TABLE))
+        pieces = [head + "[\n"], _blocks(AMPLITUDE_JSON_ROW, rows, ",\n"), ["\n  ]" + tail]
     else:
-        lines = ["system,index,re,im,probability"]
-        for r in rows:
-            lines.append(f"{r[0]},{r[1]},{_fmt(r[2])},{_fmt(r[3])},{_fmt(r[4])}")
+        tail = ""
         if quotient_dev is not None:
-            lines.append(f"# quotient_max_deviation = {_fmt(quotient_dev)}")
-            lines.append(f"# leakage = {_fmt(leakage)}")
-        _write("\n".join(lines) + "\n", args)
+            tail = f"# quotient_max_deviation = {_fmt(quotient_dev)}\n# leakage = {_fmt(leakage)}\n"
+        pieces = ["system,index,re,im,probability\n"], _blocks(AMPLITUDE_CSV_ROW, rows), [tail]
+    _write(itertools.chain(*pieces), args)
     return 0
+
+
+def _scan_rows(taus: np.ndarray, mus: np.ndarray, nus: np.ndarray):
+    """(tau, p_corner, p_antipode, leakage) per grid point, converted a block at a time."""
+    for lo in range(0, len(taus), ROWS_PER_BLOCK):
+        part = slice(lo, lo + ROWS_PER_BLOCK)
+        for tau, mu, nu in zip(taus[part].tolist(), mus[part].tolist(), nus[part].tolist()):
+            p_corner = abs(mu) ** 2
+            p_anti = abs(nu) ** 2
+            yield tau, p_corner, p_anti, 1.0 - p_corner - p_anti
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -190,12 +236,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     revival.check_scan_steps(args.steps)
     taus = np.linspace(args.tau_min, tau_max, args.steps + 1)
     mus, nus = walk.antipodal_scan(spec, taus)
-    lines = ["tau,p_corner,p_antipode,leakage"]
-    for t, mu, nu in zip(taus, mus, nus):
-        p_corner = abs(mu) ** 2
-        p_anti = abs(nu) ** 2
-        lines.append(f"{_fmt(t)},{_fmt(p_corner)},{_fmt(p_anti)},{_fmt(1.0 - p_corner - p_anti)}")
-    _write("\n".join(lines) + "\n", args)
+    # |mu|, |nu| <= 1, so finite amplitudes give finite probabilities and leakage
+    _require_finite(taus, mus, nus)
+    header = ["tau,p_corner,p_antipode,leakage\n"]
+    _write(itertools.chain(header, _blocks(SCAN_CSV_ROW, _scan_rows(taus, mus, nus))), args)
     return 0
 
 
@@ -254,7 +298,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         "equivalence": equivalence_obj,
         "random_equivalence": random_obj,
     }
-    _write(_render_json(payload) + "\n", args)
+    _write([_render_json(payload) + "\n"], args)
     return 0 if ok else 2
 
 
@@ -278,7 +322,7 @@ def cmd_appendix(args: argparse.Namespace) -> int:
             "max_identity_dev": report.max_identity_dev,
         },
     }
-    _write(_render_json(payload) + "\n", args)
+    _write([_render_json(payload) + "\n"], args)
     return 0 if report.passed else 2
 
 

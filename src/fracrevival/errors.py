@@ -1,4 +1,6 @@
-"""Exception types and the state-norm check shared across the package."""
+"""Exception types and the state and phase checks shared across the package."""
+
+import math
 
 import numpy as np
 
@@ -18,3 +20,10 @@ def require_unit_norm(psi: np.ndarray) -> None:
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > NORM_TOL:
         raise InvalidInputError(f"state norm is {norm!r}, expected 1 within {NORM_TOL}")
+
+
+def require_finite_phase(tau: float, energies: np.ndarray) -> None:
+    """Refuse a time whose product with the largest |energy| overflows, before exp(-i tau E)."""
+    largest = float(np.abs(energies).max())
+    if not math.isfinite(float(tau) * largest):
+        raise InvalidInputError(f"tau * max|E| overflows a float (tau = {tau!r}, max|E| = {largest!r})")

@@ -253,19 +253,26 @@ class EquivalenceReport:
 
 
 def equivalence_check(N: int, alpha: float, beta: float, tau: float) -> EquivalenceReport:
-    """Certify that the corner-started walk projects onto the chain dynamics.
+    """Certify that the corner-started walk projects onto the chain dynamics."""
+    spec = walk.WalkSpec(M=N - 1, alpha=alpha, beta=beta)
+    evolved = walk.evolve_graph(spec, walk.corner_state(spec.M), tau)
+    chain_side = chain_mod.chain_evolve(
+        chain_mod.ChainSpec(N=N, alpha=alpha, beta=beta), chain_mod.site_state(N, 1), tau
+    )
+    return compare_states(N, alpha, beta, tau, evolved, chain_side)
+
+
+def compare_states(
+    N: int, alpha: float, beta: float, tau: float, graph_state: np.ndarray, chain_state: np.ndarray
+) -> EquivalenceReport:
+    """Compare the corner-started walk and the site-1 chain, both already evolved to tau.
 
     The chain side is multiplied by exp(+i tau alpha (N-1)/4), compensating
     the constant (alpha/4)(N-1) I dropped when the graph Hamiltonian was
     reduced to (alpha/2)A_2 + (beta/2)A_1.
     """
-    spec = walk.WalkSpec(M=N - 1, alpha=alpha, beta=beta)
-    evolved = walk.evolve_graph(spec, walk.corner_state(spec.M), tau)
-    state = project(ColumnBasis(N), evolved)
-    chain_side = chain_mod.chain_evolve(
-        chain_mod.ChainSpec(N=N, alpha=alpha, beta=beta), chain_mod.site_state(N, 1), tau
-    )
-    chain_side = np.exp(1j * tau * alpha * (N - 1) / 4.0) * chain_side
+    state = project(ColumnBasis(N), graph_state)
+    chain_side = np.exp(1j * tau * alpha * (N - 1) / 4.0) * chain_state
     dev = float(np.abs(state.coords - chain_side).max())
     return EquivalenceReport(
         N=N, alpha=alpha, beta=beta, tau=tau, max_deviation=dev, leakage=state.leakage

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kraw, scheme
-from .errors import InvalidInputError, ResourceLimitError, require_unit_norm
+from .errors import InvalidInputError, ResourceLimitError, require_finite_phase, require_unit_norm
 
 # The state alone is ~1 GiB of complex amplitudes at M = 26, and an evolution
 # peaks at several times that; override with REVIVAL_MAX_M at your own risk.
@@ -115,7 +115,9 @@ def fwht(psi: np.ndarray) -> np.ndarray:
 
 def phase_table(spec: WalkSpec, tau: float) -> np.ndarray:
     """exp(-i tau E_s) for s = 0..M, with E_s the analytic eigenvalue on E(s)."""
-    return np.exp(-1j * tau * kraw.graph_eigenvalues(spec))
+    energies = kraw.graph_eigenvalues(spec)
+    require_finite_phase(tau, energies)
+    return np.exp(-1j * tau * energies)
 
 
 def evolve_graph(spec: WalkSpec, psi0: np.ndarray, tau: float) -> np.ndarray:

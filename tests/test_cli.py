@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, schemas, determinism."""
 
+import io
 import json
+import warnings
 from math import pi
 
+import numpy as np
 import pytest
 
-from fracrevival import cli, revival
+from fracrevival import chain, cli, quotient, revival, walk
 
 
 def run(capsys, argv):
@@ -345,3 +348,148 @@ def test_cached_parser_carries_no_state(tmp_path, capsys):
     cli.build_parser.cache_clear()
     assert sequence[3] == run(capsys, verify)
     assert sequence[3][0] == 0
+
+
+# The per-value serialization the table reports had before they were written
+# from one template per row: _fmt per CSV field, a dict per JSON row through
+# _render_json.  Kept here as the reference the streamed bytes must equal.
+def reference_evolve(N, alpha, beta, tau, target, as_json):
+    rows = []
+    if target in ("graph", "both"):
+        spec = walk.WalkSpec(M=N - 1, alpha=alpha, beta=beta)
+        psi = walk.evolve_graph(spec, walk.corner_state(spec.M), tau)
+        rows += [["graph", i, a.real, a.imag, abs(a) ** 2] for i, a in enumerate(psi)]
+    if target in ("chain", "both"):
+        spec_c = chain.ChainSpec(N=N, alpha=alpha, beta=beta)
+        psi = chain.chain_evolve(spec_c, chain.site_state(N, 1), tau)
+        rows += [["chain", i + 1, a.real, a.imag, abs(a) ** 2] for i, a in enumerate(psi)]
+    quotient_dev = leakage = None
+    if target == "both":
+        report = quotient.equivalence_check(N, alpha, beta, tau)
+        quotient_dev, leakage = report.max_deviation, report.leakage
+    if as_json:
+        payload = {
+            "schema": cli.SCHEMA_VERSION,
+            "params": {"N": N, "alpha": alpha, "beta": beta},
+            "tau": tau,
+            "target": target,
+            "amplitudes": [
+                {"system": r[0], "index": r[1], "re": r[2], "im": r[3], "probability": r[4]}
+                for r in rows
+            ],
+            "quotient_max_deviation": quotient_dev,
+            "leakage": leakage,
+        }
+        return cli._render_json(payload) + "\n"
+    lines = ["system,index,re,im,probability"]
+    lines += [f"{r[0]},{r[1]},{cli._fmt(r[2])},{cli._fmt(r[3])},{cli._fmt(r[4])}" for r in rows]
+    if quotient_dev is not None:
+        lines.append(f"# quotient_max_deviation = {cli._fmt(quotient_dev)}")
+        lines.append(f"# leakage = {cli._fmt(leakage)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_scan(N, alpha, beta, tau_min, tau_max, steps):
+    taus = np.linspace(tau_min, tau_max, steps + 1)
+    mus, nus = walk.antipodal_scan(walk.WalkSpec(M=N - 1, alpha=alpha, beta=beta), taus)
+    lines = ["tau,p_corner,p_antipode,leakage"]
+    for t, mu, nu in zip(taus, mus, nus):
+        p_corner = abs(mu) ** 2
+        p_anti = abs(nu) ** 2
+        lines.append(f"{cli._fmt(t)},{cli._fmt(p_corner)},{cli._fmt(p_anti)},{cli._fmt(1.0 - p_corner - p_anti)}")
+    return "\n".join(lines) + "\n"
+
+
+# N = 13 fills exactly one block of graph rows, N = 15 spans four
+@pytest.mark.parametrize("N, alpha, beta", [(2, -0.7, 1.3), (3, 1.1, -0.45), (8, -1.9, -0.6),
+                                            (13, 0.35, 1.7), (15, -0.83, 1.21)])
+@pytest.mark.parametrize("target", ["graph", "chain", "both"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_evolve_bytes_match_per_value_reference(capsys, N, alpha, beta, target, as_json):
+    tau = 1.9
+    argv = ["evolve", "--N", str(N), "--alpha", repr(alpha), "--beta", repr(beta),
+            "--tau", repr(tau), "--target", target] + (["--json"] if as_json else [])
+    assert run(capsys, argv) == (0, reference_evolve(N, alpha, beta, tau, target, as_json), "")
+
+
+@pytest.mark.parametrize("N, alpha, beta", [(3, 1.25, -0.5), (12, -0.6, 1.4)])
+def test_scan_bytes_match_per_value_reference(capsys, N, alpha, beta):
+    steps = 2 * cli.ROWS_PER_BLOCK + 5
+    argv = ["scan", "--N", str(N), "--alpha", repr(alpha), "--beta", repr(beta),
+            "--tau-min", "0.25", "--tau-max", "7.5", "--steps", str(steps)]
+    assert run(capsys, argv) == (0, reference_scan(N, alpha, beta, 0.25, 7.5, steps), "")
+
+
+class PieceRecorder(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_evolve_report_is_written_in_blocks(monkeypatch):
+    recorder = PieceRecorder()
+    monkeypatch.setattr(cli.sys, "stdout", recorder)
+    code = cli.main(["evolve", "--N", "15", "--alpha", "1", "--beta", "1", "--tau", "0.5",
+                     "--target", "both", "--json"])
+    assert code == 0
+    assert len(json.loads(recorder.getvalue())["amplitudes"]) == 2 ** 14 + 15
+    # a header, four full blocks of graph rows, one block of chain rows, a tail
+    assert len(recorder.sizes) == 7
+    assert max(recorder.sizes) < 200 * cli.ROWS_PER_BLOCK < len(recorder.getvalue()) / 3
+
+
+def test_evolve_both_evolves_each_system_once(capsys, monkeypatch):
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(walk, "evolve_graph")
+    count(chain, "chain_evolve")
+    code, _, _ = run(capsys, ["evolve", "--N", "6", "--alpha", "1", "--beta", "1", "--tau", "0.5",
+                              "--target", "both"])
+    assert code == 0
+    assert calls == ["evolve_graph", "chain_evolve"]
+
+
+@pytest.mark.parametrize("target", ["graph", "both"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_non_finite_amplitude_writes_nothing(tmp_path, capsys, monkeypatch, target, as_json):
+    real = walk.evolve_graph
+
+    def poisoned(*args):
+        psi = real(*args)
+        psi[-1] = np.nan
+        return psi
+
+    monkeypatch.setattr(walk, "evolve_graph", poisoned)
+    argv = ["evolve", "--N", "15", "--alpha", "1", "--beta", "1", "--tau", "0.5",
+            "--target", target] + (["--json"] if as_json else [])
+    assert run(capsys, argv) == (1, "", "error: non-finite value in report\n")
+    report = tmp_path / "report.txt"
+    assert run(capsys, argv + ["--out", str(report)]) == (1, "", "error: non-finite value in report\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("target", ["graph", "chain"])
+def test_overflowing_phase_exits_one_without_warnings(capsys, target):
+    argv = ["evolve", "--N", "4", "--alpha", "1e300", "--beta", "1e300", "--tau", "1e10",
+            "--target", target]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert caught == []
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: tau * max|E| overflows")
