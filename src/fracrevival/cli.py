@@ -234,6 +234,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if args.steps < 1:
         raise InvalidInputError("need at least one step")
     revival.check_scan_steps(args.steps)
+    if not math.isfinite(tau_max - args.tau_min):
+        raise InvalidInputError(f"tau range [{args.tau_min}, {tau_max}] must have a finite width")
     taus = np.linspace(args.tau_min, tau_max, args.steps + 1)
     mus, nus = walk.antipodal_scan(spec, taus)
     # |mu|, |nu| <= 1, so finite amplitudes give finite probabilities and leakage

@@ -10,9 +10,17 @@ tau = pi / (2 alpha).  Negative alpha or beta are folded into |.| for the
 times; the dynamics only reverses in time.
 
 `check_conditions` applies the arithmetic, `certify_numeric` confronts the
-resulting certificate with the evolution engine, and `appendix_phase_check`
-verifies the closed matrix identity e^{-i tau H} = e^{-i phi'} (A_0 +- i A_M)/sqrt(2)
-eigenvalue by eigenvalue and, at small M, entrywise against the dense oracle.
+resulting certificate with the corner and antipode amplitudes of the walk, and
+`appendix_phase_check` verifies the closed matrix identity
+e^{-i tau H} = e^{-i phi'} (A_0 +- i A_M)/sqrt(2) eigenvalue by eigenvalue and,
+at small M, entrywise against the dense oracle.
+
+`certify_numeric` reads the amplitudes from the closed form at O(M), with no
+2^M state.  At oracle scale (M <= walk.ORACLE_MAX_M) it also evolves the
+corner state once with the Walsh-Hadamard engine at the evaluated time and
+records engine_dev, the larger deviation of its corner and antipode entries
+from the closed form; the verdict requires engine_dev below PROB_TOL, so every
+small verdict rests on two independent engines.
 """
 
 from __future__ import annotations
@@ -178,7 +186,7 @@ def _scan_window(cert: RevivalCertificate) -> float:
 
 @dataclass(frozen=True)
 class CertifyReport:
-    """Numeric confrontation of a certificate with the evolution engine."""
+    """Numeric confrontation of a certificate with the walk's antipodal amplitudes."""
 
     certificate: RevivalCertificate
     passed: bool
@@ -204,13 +212,17 @@ def certify_numeric(
     1e-9 with leakage below 1e-9 and nu pure imaginary once the global phase
     makes mu real; PST at 2 tau_FR is checked as well.  PST_only: probability
     one at the antipode at tau_PST.  none: a grid scan over one period must
-    find no balanced revival.
+    find no balanced revival.  At M <= walk.ORACLE_MAX_M every kind also needs
+    the FWHT evolution to match the closed-form amplitudes within 1e-9
+    (checks["engine_dev"]).
     """
     cert = check_conditions(N, alpha, beta, p=p, q=q)
     spec = walk.WalkSpec(M=N - 1, alpha=alpha, beta=beta)
+    outcome = None
 
     if cert.kind == BALANCED_FR:
-        amp = walk.antipodal_amplitudes(spec, cert.tau_fr)
+        tau = cert.tau_fr
+        amp = walk.antipodal_amplitudes(spec, tau)
         rotated_nu = amp.nu * np.exp(-1j * np.angle(amp.mu))
         pst = walk.antipodal_amplitudes(spec, cert.tau_pst)
         checks = {
@@ -227,32 +239,30 @@ def certify_numeric(
             and checks["nu_real_part"] < PROB_TOL
             and checks["pst_at_double"] > 1.0 - PROB_TOL
         )
-        return CertifyReport(
-            certificate=cert, passed=passed, tau_evaluated=cert.tau_fr,
-            mu=amp.mu, nu=amp.nu, leakage=amp.leakage, checks=checks,
-        )
-
-    if cert.kind == PST_ONLY:
-        amp = walk.antipodal_amplitudes(spec, cert.tau_pst)
+    elif cert.kind == PST_ONLY:
+        tau = cert.tau_pst
+        amp = walk.antipodal_amplitudes(spec, tau)
         checks = {"nu_abs": abs(amp.nu), "leakage": abs(amp.leakage)}
         passed = checks["nu_abs"] > 1.0 - PROB_TOL
-        return CertifyReport(
-            certificate=cert, passed=passed, tau_evaluated=cert.tau_pst,
-            mu=amp.mu, nu=amp.nu, leakage=amp.leakage, checks=checks,
-        )
-
-    # kind == NONE: refute by sweeping one period of the spectrum
-    outcome = scan_balanced_fr(spec, _scan_window(cert), steps=scan_steps)
-    if cert.beta != 0.0 and cert.q:
-        tau_eval = pi * cert.q / (2.0 * abs(cert.beta))
-    elif cert.beta == 0.0:
-        tau_eval = pi / (2.0 * abs(cert.alpha))
     else:
-        tau_eval = outcome.tau_at_max_sum
-    amp = walk.antipodal_amplitudes(spec, tau_eval)
-    checks = {"max_revival_sum": outcome.max_revival_sum}
+        # kind == NONE: refute by sweeping one period of the spectrum
+        outcome = scan_balanced_fr(spec, _scan_window(cert), steps=scan_steps)
+        if cert.beta != 0.0 and cert.q:
+            tau = pi * cert.q / (2.0 * abs(cert.beta))
+        elif cert.beta == 0.0:
+            tau = pi / (2.0 * abs(cert.alpha))
+        else:
+            tau = outcome.tau_at_max_sum
+        amp = walk.antipodal_amplitudes(spec, tau)
+        checks = {"max_revival_sum": outcome.max_revival_sum}
+        passed = not outcome.balanced_found
+
+    if spec.M <= walk.ORACLE_MAX_M:
+        psi = walk.evolve_graph(spec, walk.corner_state(spec.M), tau)
+        checks["engine_dev"] = float(max(abs(psi[0] - amp.mu), abs(psi[-1] - amp.nu)))
+        passed = passed and checks["engine_dev"] < PROB_TOL
     return CertifyReport(
-        certificate=cert, passed=not outcome.balanced_found, tau_evaluated=tau_eval,
+        certificate=cert, passed=passed, tau_evaluated=tau,
         mu=amp.mu, nu=amp.nu, leakage=amp.leakage, checks=checks, scan=outcome,
     )
 

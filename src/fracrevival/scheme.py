@@ -33,10 +33,18 @@ def hamming_distance(x: int, y: int) -> int:
 
 
 def hamming_weights(M: int) -> np.ndarray:
-    """Population count of every vertex 0 .. 2^M - 1, as a uint8 array."""
+    """Population count of every vertex 0 .. 2^M - 1, as a uint8 array.
+
+    Built by doubling in place: the vertices 2^k .. 2^(k+1) - 1 are those
+    below 2^k with bit k set, so w[2^k : 2^(k+1)] = w[:2^k] + 1, and no wider
+    integer array is ever allocated.
+    """
     if M < 0:
         raise InvalidInputError("M must be non-negative")
-    return np.bitwise_count(np.arange(1 << M, dtype=np.uint64)).astype(np.uint8)
+    w = np.zeros(1 << M, dtype=np.uint8)
+    for k in range(M):
+        np.add(w[:1 << k], 1, out=w[1 << k:2 << k])
+    return w
 
 
 def weight_masks(M: int, i: int):

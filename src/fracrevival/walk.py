@@ -7,8 +7,15 @@ exact and analytic: Walsh-Hadamard transform, multiply by the per-weight
 eigenphases exp(-i tau E_s), transform back.  Cost O(M 2^M) with bit-exact
 deterministic output: the transform fuses its butterfly stages in pairs,
 ceil(M/2) passes over memory instead of M, in the radix-2 order, so the output
-bits do not depend on the fusion.  A dense eigendecomposition path exists
-purely as a test oracle for small M.
+bits do not depend on the fusion.
+
+The corner-started walk stays in the column space of the Hamming scheme, so
+the two amplitudes a verdict needs, at the start corner and at the antipode,
+come from a closed form in O(M) per time (antipodal_scan, and
+antipodal_amplitudes as its one-point case), with no 2^M state.  The full
+evolution serves the evolve reports and, at oracle scale, the cross-check of
+that closed form.  A dense eigendecomposition path exists purely as a test
+oracle for small M.
 """
 
 from __future__ import annotations
@@ -174,25 +181,37 @@ class AntipodalAmplitudes(NamedTuple):
 
 
 def antipodal_amplitudes(spec: WalkSpec, tau: float) -> AntipodalAmplitudes:
-    """Evolve the corner state and read off the two antipodal amplitudes."""
-    psi = evolve_graph(spec, corner_state(spec.M), tau)
-    mu = complex(psi[0])
-    nu = complex(psi[-1])
+    """The corner-started walk's amplitudes at the start corner and the antipode.
+
+    The one-point case of antipodal_scan: read from the closed form at O(M),
+    with no 2^M state.  evolve_graph(spec, corner_state(M), tau)[0] and [-1]
+    give the same amplitudes within rounding, and certify_numeric checks this
+    at oracle scale.
+    """
+    check_size(spec.M)  # before the time check, in the order evolve_graph refuses
+    if not np.isfinite(tau):
+        raise InvalidInputError("tau must be finite")
+    mus, nus = antipodal_scan(spec, [tau])
+    mu = complex(mus[0])
+    nu = complex(nus[0])
     return AntipodalAmplitudes(mu=mu, nu=nu, leakage=1.0 - abs(mu) ** 2 - abs(nu) ** 2)
 
 
 def antipodal_scan(spec: WalkSpec, taus: np.ndarray):
     """Corner-start antipodal amplitudes (mu, nu) at many times at once.
 
-    Equal to antipodal_amplitudes per tau within rounding: the corner-started
-    walk stays in the column space, so mu = 2^-M sum_s C(M,s) e^{-i tau E_s}
-    and nu is the same sum with a factor (-1)^s, at O(M) per time.  The size
-    guard applies as for evolution, so scans refuse the same M.
+    The corner-started walk stays in the column space, so
+    mu = 2^-M sum_s C(M,s) e^{-i tau E_s} and nu is the same sum with a factor
+    (-1)^s, at O(M) per time.  The size guard applies as for evolution, so
+    scans refuse the same M; a time whose phase overflows is refused before
+    exp(-i tau E).
     """
     check_size(spec.M)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    energies = kraw.graph_eigenvalues(spec)
+    require_finite_phase(float(np.abs(taus).max(initial=0.0)), energies)
     weights = np.array([comb(spec.M, s) / 2 ** spec.M for s in range(spec.M + 1)])
-    phases = np.exp(-1j * np.outer(taus, kraw.graph_eigenvalues(spec)))
+    phases = np.exp(-1j * np.outer(taus, energies))
     return phases @ weights, phases @ (weights * (-1.0) ** np.arange(spec.M + 1))
 
 

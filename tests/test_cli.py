@@ -216,6 +216,34 @@ def test_scan_steps_are_bounded(capsys, monkeypatch):
     assert reached.value.args[0][2] == revival.MAX_SCAN_STEPS + 1
 
 
+def run_without_warnings(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv)
+    assert caught == []
+    return code, out, err
+
+
+def test_scan_overflowing_phase_exits_one_without_warnings(capsys):
+    argv = ["scan", "--N", "4", "--alpha", "1e300", "--beta", "1e300", "--tau-max", "1e10",
+            "--steps", "5"]
+    code, out, err = run_without_warnings(capsys, argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: tau * max|E| overflows")
+
+
+@pytest.mark.parametrize("window", [["--tau-max", "inf"], ["--tau-min=-inf"],
+                                    ["--tau-min=-inf", "--tau-max", "inf"],
+                                    ["--tau-min=-1e308", "--tau-max", "1e308"]])
+def test_scan_infinite_range_exits_one_without_warnings(capsys, window):
+    argv = ["scan", "--N", "4", "--alpha", "1", "--beta", "1", "--steps", "5"] + window
+    code, out, err = run_without_warnings(capsys, argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: tau range [") and err.endswith("must have a finite width\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_scan_rejects_non_finite_couplings(capsys, value):
     code, out, err = run(capsys, ["scan", "--N", "5", "--alpha", value, "--beta", "1"])
@@ -493,3 +521,35 @@ def test_overflowing_phase_exits_one_without_warnings(capsys, target):
     assert caught == []
     assert len(err.splitlines()) == 1
     assert err.startswith("error: tau * max|E| overflows")
+
+
+def test_verify_fails_when_the_fwht_engine_disagrees(capsys, monkeypatch):
+    # at oracle scale the verdict also rests on the FWHT evolution
+    real = walk.evolve_graph
+
+    def shifted(*args):
+        psi = real(*args)
+        psi[0] += 1e-6
+        return psi
+
+    argv = ["verify", "--N", "4", "--alpha", "2", "--beta", "2"]
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(walk, "evolve_graph", shifted)
+    assert run(capsys, argv)[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--N", "16", "--alpha", "1", "--beta", "1"],    # balanced FR, M = 15
+    ["verify", "--N", "17", "--alpha", "2", "--beta", "1"],    # PST only (p even), M = 16
+    ["verify", "--N", "12", "--alpha", "1", "--beta", "2"],    # refusal, M = 11
+])
+def test_verify_above_oracle_scale_builds_no_state(capsys, monkeypatch, argv):
+    unpatched = run(capsys, argv)
+    assert unpatched[0] == 0
+
+    def no_state(*args):
+        raise AssertionError("2^M work on the verdict path")
+
+    monkeypatch.setattr(walk, "evolve_graph", no_state)
+    monkeypatch.setattr(walk, "fwht", no_state)
+    assert run(capsys, argv) == unpatched

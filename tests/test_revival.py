@@ -257,3 +257,16 @@ def test_scan_grid_is_bounded():
         revival.scan_balanced_fr(spec, 2 * pi, steps=revival.MAX_SCAN_STEPS + 1)
     outcome = revival.scan_balanced_fr(spec, 2 * pi, steps=revival.MAX_SCAN_STEPS)
     assert outcome.steps == revival.MAX_SCAN_STEPS
+
+
+@pytest.mark.parametrize("N, alpha, beta", [
+    (4, 2.0, 2.0), (5, 2.0, 2.0), (4, 2.0, 1.0),
+    (walk.ORACLE_MAX_M + 1, 1.0, 2.0), (walk.ORACLE_MAX_M + 1, 1.0, 1.0),
+    (walk.ORACLE_MAX_M + 2, 1.0, 1.0), (walk.ORACLE_MAX_M + 2, 1.0, 0.0),
+    (walk.ORACLE_MAX_M + 2, 2.0, 1.0),
+])
+def test_engine_cross_check_runs_exactly_at_oracle_scale(N, alpha, beta):
+    rep = revival.certify_numeric(N, alpha, beta, scan_steps=2000)
+    assert ("engine_dev" in rep.checks) == (N - 1 <= walk.ORACLE_MAX_M)
+    assert rep.checks.get("engine_dev", 0.0) < 1e-12
+    assert rep.passed

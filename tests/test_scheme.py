@@ -35,6 +35,15 @@ def test_hamming_weights_table():
     assert all(int(w[x]) == bin(x).count("1") for x in range(32))
 
 
+def test_hamming_weights_match_popcount_of_arange():
+    # the doubling construction against a popcount of every index, dtype included
+    for M in range(17):
+        w = scheme.hamming_weights(M)
+        reference = np.bitwise_count(np.arange(1 << M, dtype=np.uint64)).astype(np.uint8)
+        assert w.dtype == reference.dtype
+        assert np.array_equal(w, reference), M
+
+
 def test_apply_adjacency_square_neighbours():
     # M=2: vertex 00 has distance-1 neighbours 01 and 10, antipode 11
     psi = np.zeros(4)

@@ -4,6 +4,8 @@ from math import pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracrevival import walk
 from fracrevival.errors import InvalidInputError, ResourceLimitError
@@ -193,7 +195,8 @@ def test_antipodal_amplitudes_pst():
 
 
 def test_antipodal_scan_matches_pointwise_evolution():
-    # the closed-form scan against the FWHT evolution it replaces
+    # the closed-form scan against its one-point case, antipodal_amplitudes;
+    # the FWHT oracle for both is test_closed_form_amplitudes_match_fwht_evolution
     for M in (1, 4, 8, 14):
         spec = walk.WalkSpec(M=M, alpha=1.3, beta=0.9)
         taus = np.linspace(0.0, 5.0, 37)
@@ -202,6 +205,42 @@ def test_antipodal_scan_matches_pointwise_evolution():
             amp = walk.antipodal_amplitudes(spec, float(t))
             assert abs(mu - amp.mu) < 1e-12
             assert abs(nu - amp.nu) < 1e-12
+
+
+def assert_closed_form_matches_fwht(spec, tau):
+    amp = walk.antipodal_amplitudes(spec, tau)
+    psi = walk.evolve_graph(spec, walk.corner_state(spec.M), tau)
+    assert abs(amp.mu - psi[0]) < 1e-12
+    assert abs(amp.nu - psi[-1]) < 1e-12
+
+
+@pytest.mark.parametrize("M", [1, 4, 8, 14])
+@pytest.mark.parametrize("alpha, beta", [(1.3, 0.9), (-1.3, 0.9), (1.3, -0.9), (-0.7, -2.1), (1.1, 0.0)])
+def test_closed_form_amplitudes_match_fwht_evolution(M, alpha, beta):
+    spec = walk.WalkSpec(M=M, alpha=alpha, beta=beta)
+    for tau in np.linspace(0.0, 5.0, 11):
+        assert_closed_form_matches_fwht(spec, float(tau))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    M=st.integers(1, 12),
+    alpha=st.floats(-3.0, 3.0),
+    beta=st.floats(-3.0, 3.0),
+    tau=st.floats(0.0, 20.0),
+)
+def test_closed_form_amplitudes_match_fwht_property(M, alpha, beta, tau):
+    assert_closed_form_matches_fwht(walk.WalkSpec(M=M, alpha=alpha, beta=beta), tau)
+
+
+def test_antipodal_scan_refuses_overflowing_phase():
+    spec = walk.WalkSpec(M=3, alpha=1e300, beta=1e300)
+    with pytest.raises(InvalidInputError, match="overflows"):
+        walk.antipodal_scan(spec, [0.0, 1e10])
+    with pytest.raises(InvalidInputError, match="overflows"):
+        walk.antipodal_amplitudes(spec, 1e10)
+    with pytest.raises(InvalidInputError, match="tau must be finite"):
+        walk.antipodal_amplitudes(spec, float("inf"))
 
 
 def test_resource_guard_and_env_override(monkeypatch):
