@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+SPECTRUM_MAX_M = 66  # the largest M whose C(M, M // 2) fits an int64
+
 
 def krawtchouk(n: int, x: int, M: int, q: int = 2) -> Fraction:
     """K_n(x; q, M) by the three-term recurrence, exact.
@@ -64,8 +66,13 @@ class SpectrumTable:
 
 
 def spectrum_table(M: int) -> SpectrumTable:
+    """The table for 1 <= M <= SPECTRUM_MAX_M, where every C(M, s) fits an int64."""
     if M < 1:
         raise InvalidInputError("M must be at least 1")
+    if M > SPECTRUM_MAX_M:
+        raise InvalidInputError(
+            f"M = {M} exceeds {SPECTRUM_MAX_M}: the multiplicities C(M, s) overflow int64"
+        )
     s = np.arange(M + 1)
     lam = (M - 2 * s).astype(float)
     p2 = (lam * lam - M) / 2.0
@@ -86,6 +93,6 @@ def graph_eigenvalue(s: int, spec) -> float:
 
 def graph_eigenvalues(spec) -> np.ndarray:
     """All walk eigenvalues indexed by s = 0..M as a float array."""
-    # lambda_s = M - 2s directly: spectrum_table's int64 C(M, s) overflow from M = 67 on
+    # lambda_s = M - 2s directly: spectrum_table stops at SPECTRUM_MAX_M (int64 C(M, s))
     lam = (spec.M - 2 * np.arange(spec.M + 1)).astype(float)
     return 0.5 * spec.alpha * ((lam * lam - spec.M) / 2.0) + 0.5 * spec.beta * lam

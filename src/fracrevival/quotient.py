@@ -26,6 +26,14 @@ from .errors import InvalidInputError, ResourceLimitError
 ENUMERATION_MAX_N = 14
 
 
+def _check_enumeration(N: int) -> None:
+    """Refuse N below 2 or above ENUMERATION_MAX_N before any vertex pair is enumerated."""
+    if N < 2:
+        raise InvalidInputError(f"need N >= 2, got {N}")
+    if N > ENUMERATION_MAX_N:
+        raise ResourceLimitError(f"explicit enumeration refused for N = {N} > {ENUMERATION_MAX_N}")
+
+
 @dataclass(frozen=True)
 class ColumnBasis:
     """The N orthonormal column vectors over {0,1}^(N-1), indexed n = 1..N."""
@@ -124,6 +132,11 @@ class QuotientTable:
     max_closed_form_deviation: float
     exact_closed_forms: bool
 
+    @property
+    def passed(self) -> bool:
+        """Every closed form holds exactly on integers and within 1e-12 in floats."""
+        return self.exact_closed_forms and self.max_closed_form_deviation < 1e-12
+
     def q1(self) -> np.ndarray:
         """Quotient of A_1: tridiagonal with the measured elements (equals 2J)."""
         return np.diag(self.a1_upper, -1) + np.diag(self.a1_upper, 1)
@@ -144,10 +157,7 @@ def quotient_matrix_elements(N: int) -> QuotientTable:
     n(n+1)(N-n)(N-n-1), <col n|A_2|col n> = (n-1)(N-n).  Vertex pairs inside a
     column at distance 4 are counted separately: they never contribute to A_2.
     """
-    if N < 2:
-        raise InvalidInputError(f"need N >= 2, got {N}")
-    if N > ENUMERATION_MAX_N:
-        raise ResourceLimitError(f"explicit enumeration refused for N = {N} > {ENUMERATION_MAX_N}")
+    _check_enumeration(N)
     M = N - 1
     k = ColumnBasis(N).sizes
     counts1 = _pair_counts(M, 1)
@@ -219,10 +229,7 @@ class ShiftedDiagonalReport:
 
 def verify_shifted_diagonal(N: int) -> ShiftedDiagonalReport:
     """Exact rational check that the shifted A_2 diagonal equals the on-site couplings."""
-    if N < 2:
-        raise InvalidInputError(f"need N >= 2, got {N}")
-    if N > ENUMERATION_MAX_N:
-        raise ResourceLimitError(f"explicit enumeration refused for N = {N} > {ENUMERATION_MAX_N}")
+    _check_enumeration(N)
     M = N - 1
     counts2 = _pair_counts(M, 2) if M >= 2 else np.zeros((M + 1, M + 1), dtype=np.int64)
     k = ColumnBasis(N).sizes

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, pi
+from math import copysign, gcd, inf, isfinite, pi
 
 import numpy as np
 
@@ -62,18 +62,32 @@ class RevivalCertificate:
 
 
 def _rationalize(alpha: float, beta: float, p: int | None, q: int | None):
-    """alpha/beta as a reduced fraction, or None when no close rational exists."""
+    """alpha/beta as a reduced fraction, or None when no close rational exists.
+
+    A ratio that is not finite (beta = 0, or an overflowing quotient) has no
+    close rational.  An explicit p/q must lie within RATIO_TOL of alpha/beta.
+    """
+    ratio = float(alpha) / float(beta) if beta != 0.0 else copysign(inf, alpha)
     if p is not None or q is not None:
         if p is None or q is None or q == 0:
             raise InvalidInputError("pass both p and q (q nonzero) to fix the ratio exactly")
+        # below 2^1023, p / q cannot overflow; an infinite ratio agrees with no p/q
+        if not (abs(p) < abs(q) << 1023 and abs(ratio - p / q) <= RATIO_TOL):
+            raise InvalidInputError(f"p/q = {p}/{q} contradicts alpha/beta = {ratio}")
         sign = -1 if q < 0 else 1
         g = gcd(abs(p), abs(q))
         return sign * p // g, abs(q) // g
-    ratio = alpha / beta
+    if not isfinite(ratio):
+        return None
     frac = Fraction(ratio).limit_denominator(MAX_DENOMINATOR)
     if abs(float(frac) - ratio) > RATIO_TOL:
         return None
     return frac.numerator, frac.denominator
+
+
+def _fr_time(alpha: float, beta: float, q: int | None) -> float:
+    """The first balanced-FR time: pi q / (2|beta|), or pi / (2|alpha|) when beta = 0."""
+    return pi * q / (2.0 * abs(beta)) if beta != 0.0 else pi / (2.0 * abs(alpha))
 
 
 def check_conditions(
@@ -83,7 +97,8 @@ def check_conditions(
 
     The ratio alpha/beta is rationalized by continued fractions (tolerance
     1e-9, denominator capped at 10^6); callers holding the exact integers may
-    pass p and q to bypass the float round trip.
+    pass p and q to bypass the float round trip.  Explicit p and q must agree
+    with alpha/beta within that tolerance, so beta = 0 refuses them.
     """
     if N < 2:
         raise InvalidInputError(f"need N >= 2, got {N}")
@@ -92,9 +107,10 @@ def check_conditions(
     if alpha == 0.0 and beta == 0.0:
         raise InvalidInputError("(alpha, beta) != (0, 0) required")
 
+    ratio = _rationalize(alpha, beta, p, q)
     if beta == 0.0:
         if N % 2 == 1:
-            tau_fr = pi / (2.0 * abs(alpha))
+            tau_fr = _fr_time(alpha, beta, None)
             return RevivalCertificate(
                 kind=BALANCED_FR, N=N, alpha=alpha, beta=beta,
                 tau_fr=tau_fr, tau_pst=2.0 * tau_fr,
@@ -104,7 +120,6 @@ def check_conditions(
             reason="beta = 0 admits revival only for odd N",
         )
 
-    ratio = _rationalize(alpha, beta, p, q)
     if ratio is None:
         return RevivalCertificate(
             kind=NONE, N=N, alpha=alpha, beta=beta,
@@ -113,7 +128,7 @@ def check_conditions(
     rp, rq = ratio
     if rp % 2 != 0:
         if rq % 2 != N % 2:
-            tau_fr = pi * rq / (2.0 * abs(beta))
+            tau_fr = _fr_time(alpha, beta, rq)
             return RevivalCertificate(
                 kind=BALANCED_FR, N=N, alpha=alpha, beta=beta, p=rp, q=rq,
                 tau_fr=tau_fr, tau_pst=2.0 * tau_fr,
@@ -141,10 +156,22 @@ class ScanOutcome:
     tau_at_max_sum: float
 
 
-def check_scan_steps(steps: int) -> None:
-    """Refuse a tau grid above MAX_SCAN_STEPS steps before it is allocated."""
+def tau_grid(tau_min: float, tau_max: float, steps: int) -> np.ndarray:
+    """steps + 1 evenly spaced times from tau_min to tau_max, inclusive.
+
+    Refused before the grid is allocated, in this order: an empty range
+    (tau_max not above tau_min, or NaN), fewer than one step, more than
+    MAX_SCAN_STEPS steps, and a width tau_max - tau_min that is not finite.
+    """
+    if not (tau_max > tau_min):
+        raise InvalidInputError(f"empty tau range [{tau_min}, {tau_max}]")
+    if steps < 1:
+        raise InvalidInputError("need at least one step")
     if steps > MAX_SCAN_STEPS:
         raise InvalidInputError(f"steps must be at most {MAX_SCAN_STEPS}, got {steps}")
+    if not isfinite(tau_max - tau_min):
+        raise InvalidInputError(f"tau range [{tau_min}, {tau_max}] must have a finite width")
+    return np.linspace(tau_min, tau_max, steps + 1)
 
 
 def scan_balanced_fr(
@@ -154,12 +181,10 @@ def scan_balanced_fr(
 
     A grid point counts as balanced FR when |mu|^2 + |nu|^2 >= 1 - 1e-6 with
     both probabilities within 1e-6 of one half.  tau = 0 (perfect return) is
-    excluded from detection but included in the sweep.
+    excluded from detection but included in the sweep.  The grid is
+    tau_grid(0.0, tau_max, steps), with its refusals.
     """
-    if steps < 1 or tau_max <= 0:
-        raise InvalidInputError("need tau_max > 0 and at least one step")
-    check_scan_steps(steps)
-    taus = np.linspace(0.0, tau_max, steps + 1)
+    taus = tau_grid(0.0, tau_max, steps)
     mus, nus = walk.antipodal_scan(spec, taus)
     pm = np.abs(mus) ** 2
     pn = np.abs(nus) ** 2
@@ -247,12 +272,8 @@ def certify_numeric(
     else:
         # kind == NONE: refute by sweeping one period of the spectrum
         outcome = scan_balanced_fr(spec, _scan_window(cert), steps=scan_steps)
-        if cert.beta != 0.0 and cert.q:
-            tau = pi * cert.q / (2.0 * abs(cert.beta))
-        elif cert.beta == 0.0:
-            tau = pi / (2.0 * abs(cert.alpha))
-        else:
-            tau = outcome.tau_at_max_sum
+        tau = (_fr_time(cert.alpha, cert.beta, cert.q) if cert.beta == 0.0 or cert.q
+               else outcome.tau_at_max_sum)
         amp = walk.antipodal_amplitudes(spec, tau)
         checks = {"max_revival_sum": outcome.max_revival_sum}
         passed = not outcome.balanced_found
@@ -269,7 +290,11 @@ def certify_numeric(
 
 @dataclass(frozen=True)
 class AppendixReport:
-    """Spectral verification of the balanced-revival matrix identity."""
+    """Spectral verification of the balanced-revival matrix identity.
+
+    certificate is the balanced-FR check_conditions verdict whose tau_fr the
+    identity was checked at; reports read p, q and the times from it.
+    """
 
     N: int
     alpha: float
@@ -284,6 +309,7 @@ class AppendixReport:
     assembled_max_dev: float        # eigenvalue-level identity deviation
     phi_consistency_dev: float      # |e^{-i phi'} -+ e^{-i phi}|, smaller branch
     dense_identity_dev: float | None  # entrywise vs dense oracle, M <= 8 only
+    certificate: RevivalCertificate
 
     @property
     def passed(self) -> bool:
@@ -364,5 +390,5 @@ def appendix_phase_check(
         N=N, alpha=alpha, beta=beta, tau=tau, delta=delta, phi_prime=phi_prime,
         sign=sign, winding_max_dev=winding_dev, step_phase_max_dev=step_dev,
         delta_dev=delta_dev, assembled_max_dev=assembled_dev,
-        phi_consistency_dev=phi_consistency, dense_identity_dev=dense_dev,
+        phi_consistency_dev=phi_consistency, dense_identity_dev=dense_dev, certificate=cert,
     )

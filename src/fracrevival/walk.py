@@ -186,11 +186,8 @@ def antipodal_amplitudes(spec: WalkSpec, tau: float) -> AntipodalAmplitudes:
     The one-point case of antipodal_scan: read from the closed form at O(M),
     with no 2^M state.  evolve_graph(spec, corner_state(M), tau)[0] and [-1]
     give the same amplitudes within rounding, and certify_numeric checks this
-    at oracle scale.
+    at oracle scale.  antipodal_scan makes the refusals.
     """
-    check_size(spec.M)  # before the time check, in the order evolve_graph refuses
-    if not np.isfinite(tau):
-        raise InvalidInputError("tau must be finite")
     mus, nus = antipodal_scan(spec, [tau])
     mu = complex(mus[0])
     nu = complex(nus[0])
@@ -203,11 +200,13 @@ def antipodal_scan(spec: WalkSpec, taus: np.ndarray):
     The corner-started walk stays in the column space, so
     mu = 2^-M sum_s C(M,s) e^{-i tau E_s} and nu is the same sum with a factor
     (-1)^s, at O(M) per time.  The size guard applies as for evolution, so
-    scans refuse the same M; a time whose phase overflows is refused before
-    exp(-i tau E).
+    scans refuse the same M; then, in the order evolve_graph refuses, a time
+    that is not finite, and one whose phase overflows, before exp(-i tau E).
     """
     check_size(spec.M)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
+    if not np.isfinite(taus).all():
+        raise InvalidInputError("tau must be finite")
     energies = kraw.graph_eigenvalues(spec)
     require_finite_phase(float(np.abs(taus).max(initial=0.0)), energies)
     weights = np.array([comb(spec.M, s) / 2 ** spec.M for s in range(spec.M + 1)])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fracrevival import chain, cli, quotient, revival, walk
+from fracrevival.errors import InvalidInputError
 
 
 def run(capsys, argv):
@@ -244,6 +245,51 @@ def test_scan_infinite_range_exits_one_without_warnings(capsys, window):
     assert err.startswith("error: tau range [") and err.endswith("must have a finite width\n")
 
 
+@pytest.mark.parametrize("tau_max, steps, message", [
+    (0.0, 5, "empty tau range [0.0, 0.0]"),
+    (3.0, 0, "need at least one step"),
+    (3.0, revival.MAX_SCAN_STEPS + 1,
+     f"steps must be at most {revival.MAX_SCAN_STEPS}, got {revival.MAX_SCAN_STEPS + 1}"),
+    (float("inf"), 5, "tau range [0.0, inf] must have a finite width"),
+])
+def test_scan_and_library_share_tau_grid_refusals(capsys, monkeypatch, tau_max, steps, message):
+    def no_grid(*args, **kwargs):
+        raise GridReached(args)
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    code, out, err = run(capsys, ["scan", "--N", "4", "--alpha", "1", "--beta", "1",
+                                  "--tau-max", repr(tau_max), "--steps", str(steps)])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    with pytest.raises(InvalidInputError) as refused:
+        revival.scan_balanced_fr(walk.WalkSpec(M=3, alpha=1.0, beta=1.0), tau_max, steps)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    # an alpha/beta that overflows a float has no close rational
+    (["verify", "--N", "4", "--alpha", "1e300", "--beta", "1e-10"], "tau * max|E| overflows a float"),
+    (["verify", "--N", "4", "--alpha", "1", "--beta", "1e-310"],
+     "tau range [0.0, inf] must have a finite width"),
+    (["appendix", "--N", "4", "--alpha", "1e300", "--beta", "1e-10"], "appendix identity requires balanced FR"),
+    (["evolve", "--N", "4", "--alpha", "1e300", "--beta", "1e-10", "--tau", "pst"], "no PST time"),
+    (["quotient", "--N", "4", "--alpha", "1", "--beta", "1e-310", "--tau", "fr"], "no FR time"),
+    # --p/--q must agree with alpha/beta, and beta = 0 has no ratio to agree with
+    (["verify", "--N", "4", "--alpha", "2", "--beta", "2", "--p", "2", "--q", "1"],
+     "p/q = 2/1 contradicts alpha/beta = 1.0"),
+    (["verify", "--N", "5", "--alpha", "2", "--beta", "2", "--p", "1", "--q", "2"],
+     "p/q = 1/2 contradicts alpha/beta = 1.0"),
+    (["verify", "--N", "5", "--alpha", "2", "--beta", "0", "--p", "1", "--q", "2"],
+     "p/q = 1/2 contradicts alpha/beta = inf"),
+    (["appendix", "--N", "4", "--alpha", "2", "--beta", "2", "--p", "1", "--q", "3"],
+     "p/q = 1/3 contradicts alpha/beta = 1.0"),
+])
+def test_ratio_inputs_exit_one_with_one_line(capsys, argv, message):
+    code, out, err = run_without_warnings(capsys, argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {message}")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_scan_rejects_non_finite_couplings(capsys, value):
     code, out, err = run(capsys, ["scan", "--N", "5", "--alpha", value, "--beta", "1"])
@@ -273,6 +319,27 @@ def test_quotient_with_equivalence_and_random_trials(capsys):
     assert payload["equivalence"]["passed"] is True
     assert payload["random_equivalence"]["trials"] == 5
     assert payload["random_equivalence"]["max_deviation"] < 1e-10
+
+
+def test_quotient_random_trials_gate_on_each_report(capsys, monkeypatch):
+    class Failing(quotient.EquivalenceReport):
+        passed = False
+
+    real = quotient.equivalence_check
+    calls = []
+
+    def second_fails(*args):
+        report = real(*args)
+        calls.append(report)
+        return Failing(**vars(report)) if len(calls) == 2 else report
+
+    monkeypatch.setattr(quotient, "equivalence_check", second_fails)
+    code, out, _ = run(capsys, ["quotient", "--N", "5", "--random-trials", "3"])
+    assert code == 2
+    assert len(calls) == 3
+    worst = json.loads(out)["random_equivalence"]
+    assert worst["max_deviation"] == pytest.approx(max(r.max_deviation for r in calls), rel=1e-15)
+    assert worst["max_leakage"] == pytest.approx(max(abs(r.leakage) for r in calls), rel=1e-15)
 
 
 def test_quotient_rejects_negative_random_trials(capsys):
@@ -318,6 +385,21 @@ def test_appendix_command(capsys):
     payload = json.loads(out)
     assert payload["appendix"]["max_identity_dev"] < 1e-10
     assert payload["appendix"]["sign"] in (1, -1)
+
+
+def test_appendix_derives_its_certificate_once(capsys, monkeypatch):
+    real = revival.check_conditions
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(revival, "check_conditions", counted)
+    code, out, _ = run(capsys, ["appendix", "--N", "4", "--alpha", "2", "--beta", "2"])
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["certificate"]["tau_fr"] == pytest.approx(pi / 4)
 
 
 def test_appendix_refusal_is_input_error(capsys):

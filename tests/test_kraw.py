@@ -86,6 +86,14 @@ def test_spectrum_table_invariants():
         assert (np.diff(table.lam) < 0).all()
 
 
+def test_spectrum_table_stops_at_int64_binomials():
+    table = kraw.spectrum_table(kraw.SPECTRUM_MAX_M)
+    assert table.multiplicity.dtype == np.int64
+    assert table.multiplicity.max() == comb(66, 33)
+    with pytest.raises(InvalidInputError, match="exceeds 66"):
+        kraw.spectrum_table(67)
+
+
 def test_graph_eigenvalue_reference_points():
     spec = walk.WalkSpec(M=3, alpha=1.0, beta=0.0)
     assert kraw.graph_eigenvalue(1, spec) == pytest.approx(-0.5)

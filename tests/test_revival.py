@@ -217,6 +217,34 @@ def test_appendix_anchor_fixes_phase():
     assert abs(u0 - reconstructed) < 1e-12
 
 
+@pytest.mark.parametrize("N, alpha, beta, p, q", [
+    (4, 2.0, 2.0, None, None), (5, 1.0, 0.0, None, None), (6, -1.0, 3.0, None, None),
+    (5, -0.5, 1.0, -1, 2), (4, 3.0, 9.0, 1, 3),
+])
+def test_appendix_report_carries_its_certificate(N, alpha, beta, p, q):
+    report = revival.appendix_phase_check(N, alpha, beta, p=p, q=q)
+    assert report.certificate == revival.check_conditions(N, alpha, beta, p=p, q=q)
+    assert report.tau == report.certificate.tau_fr
+
+
+@pytest.mark.filterwarnings("error")
+def test_ratio_without_a_close_rational_or_contradicting_pq():
+    for alpha, beta in ((1e300, 1e-10), (1.0, 1e-310), (-1.0, 1e-310),
+                        (np.float64(1e300), np.float64(1e-10))):
+        cert = revival.check_conditions(4, alpha, beta)
+        assert cert.kind == revival.NONE and "rationalizable" in cert.reason
+    with pytest.raises(InvalidInputError, match="contradicts alpha/beta = 1.0"):
+        revival.check_conditions(4, 2.0, 2.0, p=2, q=1)
+    with pytest.raises(InvalidInputError, match="contradicts alpha/beta = -inf"):
+        revival.check_conditions(5, -2.0, 0.0, p=1, q=2)
+    with pytest.raises(InvalidInputError, match="contradicts alpha/beta = inf"):
+        revival.check_conditions(4, 1.0, 1e-310, p=1, q=1)
+    with pytest.raises(InvalidInputError, match="contradicts alpha/beta = 1.0"):
+        revival.check_conditions(4, 1.0, 1.0, p=10 ** 400, q=1)  # p / q would overflow a float
+    # agreement within RATIO_TOL is accepted, huge integers included
+    assert revival.check_conditions(4, 1.0, 1.0, p=10 ** 400 + 1, q=10 ** 400).p == 10 ** 400 + 1
+
+
 def test_appendix_refuses_without_balanced_fr():
     with pytest.raises(InvalidInputError):
         revival.appendix_phase_check(5, 2.0, 2.0)

@@ -243,6 +243,13 @@ def test_antipodal_scan_refuses_overflowing_phase():
         walk.antipodal_amplitudes(spec, float("inf"))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_antipodal_scan_refuses_non_finite_times(bad):
+    # the refusal comes before the overflow check, so no grid point reads as an overflow
+    with pytest.raises(InvalidInputError, match="tau must be finite"):
+        walk.antipodal_scan(walk.WalkSpec(M=3, alpha=1.0, beta=1.0), [0.0, bad, 1.0])
+
+
 def test_resource_guard_and_env_override(monkeypatch):
     monkeypatch.setenv("REVIVAL_MAX_M", "4")
     spec = walk.WalkSpec(M=5, alpha=1.0, beta=1.0)
