@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, require_finite_phase, require_unit_norm
+from .errors import InvalidInputError, eigenphases, require_unit_norm
 
 
 @dataclass(frozen=True)
@@ -103,17 +103,20 @@ def chain_evolve(spec: ChainSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
     """Evolve a one-excitation state: returns exp(-i tau H) psi0.
 
     The input must already be unit norm (no silent renormalization); the
-    propagator is built from the dense symmetric eigendecomposition.
+    propagator is built from the dense symmetric eigendecomposition.  The
+    eigenphase refusals come before the state and (0, 0) checks.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (spec.N,):
         raise InvalidInputError(f"state must have length N = {spec.N}, got shape {psi0.shape}")
-    if not np.isfinite(tau):
-        raise InvalidInputError("tau must be finite")
+    with np.errstate(over="ignore"):
+        h = build_hamiltonian(spec).to_dense()
+    # max|E| is at least the largest |entry| of a symmetric matrix, and eigh cannot take an inf
+    if not np.isfinite(h).all():
+        raise InvalidInputError("the spectrum overflows a float")
+    w, v = np.linalg.eigh(h)
+    phases = eigenphases(tau, w)
     require_unit_norm(psi0)
     if spec.alpha == 0.0 and spec.beta == 0.0:
         raise InvalidInputError("(alpha, beta) = (0, 0) has no dynamics to evolve")
-    h = build_hamiltonian(spec).to_dense()
-    w, v = np.linalg.eigh(h)
-    require_finite_phase(tau, w)
-    return v @ (np.exp(-1j * tau * w) * (v.T @ psi0))
+    return v @ (phases * (v.T @ psi0))

@@ -116,22 +116,17 @@ CERTIFICATE_FIELDS = "kind tau_fr tau_pst reason"
 def cmd_verify(args: argparse.Namespace) -> int:
     report = revival.certify_numeric(args.N, args.alpha, args.beta, p=args.p, q=args.q)
     cert = report.certificate
-    ok = report.passed
-    appendix_obj = None
-    if cert.kind == revival.BALANCED_FR:
-        ap = revival.appendix_phase_check(args.N, args.alpha, args.beta, p=args.p, q=args.q)
-        appendix_obj = _fields(ap, "delta phi_prime sign max_identity_dev")
-        ok = ok and ap.passed
     payload = {
         "schema": SCHEMA_VERSION,
         "params": _fields(cert, PARAMS_FIELDS),
         "certificate": _fields(cert, CERTIFICATE_FIELDS),
         "numeric": _fields(report, "mu nu leakage"),
-        "appendix": appendix_obj,
+        "appendix": (_fields(report.appendix, "delta phi_prime sign max_identity_dev")
+                     if report.appendix is not None else None),
         "scan": asdict(report.scan) if report.scan is not None else None,
     }
     _write([_render_json(payload) + "\n"], args)
-    return 0 if ok else 2
+    return 0 if report.passed else 2
 
 
 def _resolve_tau(args: argparse.Namespace) -> float:

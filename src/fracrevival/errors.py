@@ -22,8 +22,19 @@ def require_unit_norm(psi: np.ndarray) -> None:
         raise InvalidInputError(f"state norm is {norm!r}, expected 1 within {NORM_TOL}")
 
 
-def require_finite_phase(tau: float, energies: np.ndarray) -> None:
-    """Refuse a time whose product with the largest |energy| overflows, before exp(-i tau E)."""
+def eigenphases(tau, energies: np.ndarray) -> np.ndarray:
+    """exp(-i tau E), a row per time of an array: every walk and chain eigenphase.
+
+    Refused before any exp, in order: a non-finite time, non-finite energies
+    (the spectrum overflowed), and a largest |tau| * max|E| that overflows.
+    """
+    times = np.asarray(tau, dtype=float)
+    if not np.isfinite(times).all():
+        raise InvalidInputError("tau must be finite")
+    if not np.isfinite(energies).all():
+        raise InvalidInputError("the spectrum overflows a float")
     largest = float(np.abs(energies).max())
-    if not math.isfinite(float(tau) * largest):
-        raise InvalidInputError(f"tau * max|E| overflows a float (tau = {tau!r}, max|E| = {largest!r})")
+    reach = tau if times.ndim == 0 else float(np.abs(times).max(initial=0.0))
+    if not math.isfinite(float(reach) * largest):
+        raise InvalidInputError(f"tau * max|E| overflows a float (tau = {reach!r}, max|E| = {largest!r})")
+    return np.exp(-1j * np.multiply.outer(times, energies))

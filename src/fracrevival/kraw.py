@@ -95,4 +95,6 @@ def graph_eigenvalues(spec) -> np.ndarray:
     """All walk eigenvalues indexed by s = 0..M as a float array."""
     # lambda_s = M - 2s directly: spectrum_table stops at SPECTRUM_MAX_M (int64 C(M, s))
     lam = (spec.M - 2 * np.arange(spec.M + 1)).astype(float)
-    return 0.5 * spec.alpha * ((lam * lam - spec.M) / 2.0) + 0.5 * spec.beta * lam
+    # an overflow leaves inf or NaN, which errors.eigenphases refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 0.5 * spec.alpha * ((lam * lam - spec.M) / 2.0) + 0.5 * spec.beta * lam

@@ -128,9 +128,13 @@ class QuotientTable:
     a2_upper: np.ndarray   # <col n+2|A_2|col n>, n = 1..N-2
     a2_lower: np.ndarray   # <col n-2|A_2|col n>, n = 3..N
     a2_diag: np.ndarray    # <col n|A_2|col n>,  n = 1..N
-    distance4_same_column: np.ndarray  # ordered pairs inside V_n at distance 4
     max_closed_form_deviation: float
     exact_closed_forms: bool
+
+    @property
+    def distance4_same_column(self) -> np.ndarray:
+        """Ordered vertex pairs inside each column at distance 4, counted when read."""
+        return _pair_counts(self.N - 1, 4).diagonal().copy()
 
     @property
     def passed(self) -> bool:
@@ -155,14 +159,14 @@ def quotient_matrix_elements(N: int) -> QuotientTable:
     Closed forms asserted exactly on integers (squared where a square root is
     involved): <col n+1|A_1|col n>^2 = n(N-n), 4<col n+/-2|A_2|col n>^2 =
     n(n+1)(N-n)(N-n-1), <col n|A_2|col n> = (n-1)(N-n).  Vertex pairs inside a
-    column at distance 4 are counted separately: they never contribute to A_2.
+    column at distance 4 never contribute to A_2; the table counts them only
+    when distance4_same_column is read.
     """
     _check_enumeration(N)
     M = N - 1
     k = ColumnBasis(N).sizes
     counts1 = _pair_counts(M, 1)
     counts2 = _pair_counts(M, 2)
-    counts4 = _pair_counts(M, 4) if M >= 4 else np.zeros((M + 1, M + 1), dtype=np.int64)
 
     # counts index by bit-weight w = n-1
     a1_upper = np.array(
@@ -175,7 +179,6 @@ def quotient_matrix_elements(N: int) -> QuotientTable:
         [counts2[n - 1, n - 3] / np.sqrt(k[n - 1] * k[n - 3]) for n in range(3, N + 1)]
     )
     a2_diag = np.array([counts2[n - 1, n - 1] / k[n - 1] for n in range(1, N + 1)], dtype=float)
-    dist4 = np.array([counts4[n - 1, n - 1] for n in range(1, N + 1)], dtype=np.int64)
 
     exact = True
     for n in range(1, N):
@@ -208,7 +211,6 @@ def quotient_matrix_elements(N: int) -> QuotientTable:
         a2_upper=a2_upper,
         a2_lower=a2_lower,
         a2_diag=a2_diag,
-        distance4_same_column=dist4,
         max_closed_form_deviation=float(dev),
         exact_closed_forms=bool(exact),
     )

@@ -10,10 +10,10 @@ tau = pi / (2 alpha).  Negative alpha or beta are folded into |.| for the
 times; the dynamics only reverses in time.
 
 `check_conditions` applies the arithmetic, `certify_numeric` confronts the
-resulting certificate with the corner and antipode amplitudes of the walk, and
-`appendix_phase_check` verifies the closed matrix identity
-e^{-i tau H} = e^{-i phi'} (A_0 +- i A_M)/sqrt(2) eigenvalue by eigenvalue and,
-at small M, entrywise against the dense oracle.
+resulting certificate with the corner and antipode amplitudes of the walk and,
+for balanced FR, with the closed matrix identity
+e^{-i tau H} = e^{-i phi'} (A_0 +- i A_M)/sqrt(2) that `appendix_phase_check`
+verifies eigenvalue by eigenvalue and, at small M, against the dense oracle.
 
 `certify_numeric` reads the amplitudes from the closed form at O(M), with no
 2^M state.  At oracle scale (M <= walk.ORACLE_MAX_M) it also evolves the
@@ -31,7 +31,7 @@ from math import copysign, gcd, inf, isfinite, pi
 
 import numpy as np
 
-from . import kraw, walk
+from . import walk
 from .errors import InvalidInputError
 
 BALANCED_FR = "balanced_FR"
@@ -87,7 +87,8 @@ def _rationalize(alpha: float, beta: float, p: int | None, q: int | None):
 
 def _fr_time(alpha: float, beta: float, q: int | None) -> float:
     """The first balanced-FR time: pi q / (2|beta|), or pi / (2|alpha|) when beta = 0."""
-    return pi * q / (2.0 * abs(beta)) if beta != 0.0 else pi / (2.0 * abs(alpha))
+    # 0.5 * pi is exact, and unlike 2|beta| it cannot overflow
+    return 0.5 * pi * q / abs(beta) if beta != 0.0 else 0.5 * pi / abs(alpha)
 
 
 def check_conditions(
@@ -211,7 +212,7 @@ def _scan_window(cert: RevivalCertificate) -> float:
 
 @dataclass(frozen=True)
 class CertifyReport:
-    """Numeric confrontation of a certificate with the walk's antipodal amplitudes."""
+    """Numeric confrontation of a certificate with the walk; passed is the whole verdict."""
 
     certificate: RevivalCertificate
     passed: bool
@@ -220,7 +221,8 @@ class CertifyReport:
     nu: complex
     leakage: float
     checks: dict
-    scan: ScanOutcome | None = None
+    scan: ScanOutcome | None = None              # the refuting sweep, kind none only
+    appendix: AppendixReport | None = None      # the identity on this certificate, balanced FR only
 
 
 def certify_numeric(
@@ -235,15 +237,16 @@ def certify_numeric(
 
     balanced_FR: at tau_FR both antipodal probabilities must be 1/2 within
     1e-9 with leakage below 1e-9 and nu pure imaginary once the global phase
-    makes mu real; PST at 2 tau_FR is checked as well.  PST_only: probability
-    one at the antipode at tau_PST.  none: a grid scan over one period must
-    find no balanced revival.  At M <= walk.ORACLE_MAX_M every kind also needs
-    the FWHT evolution to match the closed-form amplitudes within 1e-9
-    (checks["engine_dev"]).
+    makes mu real; PST at 2 tau_FR and the appendix_phase_check identity
+    (report.appendix) are checked as well.  PST_only: probability one at the
+    antipode at tau_PST.  none: a grid scan over one period must find no
+    balanced revival.  At M <= walk.ORACLE_MAX_M every kind also needs the
+    FWHT evolution to match the closed-form amplitudes within 1e-9
+    (checks["engine_dev"]).  The certificate is derived once.
     """
     cert = check_conditions(N, alpha, beta, p=p, q=q)
     spec = walk.WalkSpec(M=N - 1, alpha=alpha, beta=beta)
-    outcome = None
+    outcome = appendix = None
 
     if cert.kind == BALANCED_FR:
         tau = cert.tau_fr
@@ -257,12 +260,14 @@ def certify_numeric(
             "nu_real_part": abs(rotated_nu.real),
             "pst_at_double": abs(pst.nu),
         }
+        appendix = _appendix_identity(cert, spec)
         passed = (
             checks["mu_prob_dev"] < PROB_TOL
             and checks["nu_prob_dev"] < PROB_TOL
             and checks["leakage"] < PROB_TOL
             and checks["nu_real_part"] < PROB_TOL
             and checks["pst_at_double"] > 1.0 - PROB_TOL
+            and appendix.passed
         )
     elif cert.kind == PST_ONLY:
         tau = cert.tau_pst
@@ -285,6 +290,7 @@ def certify_numeric(
     return CertifyReport(
         certificate=cert, passed=passed, tau_evaluated=tau,
         mu=amp.mu, nu=amp.nu, leakage=amp.leakage, checks=checks, scan=outcome,
+        appendix=appendix,
     )
 
 
@@ -346,20 +352,26 @@ def appendix_phase_check(
             f"appendix identity requires balanced FR; certificate says {cert.kind}"
             + (f" ({cert.reason})" if cert.reason else "")
         )
-    tau = cert.tau_fr
-    M = N - 1
-    spec = walk.WalkSpec(M=M, alpha=alpha, beta=beta)
+    return _appendix_identity(cert, walk.WalkSpec(M=N - 1, alpha=alpha, beta=beta))
+
+
+def _appendix_identity(cert: RevivalCertificate, spec: walk.WalkSpec) -> AppendixReport:
+    """The checks of appendix_phase_check on a balanced-FR certificate and its walk."""
+    N, alpha, beta, tau = cert.N, cert.alpha, cert.beta, cert.tau_fr
+    M = spec.M
+    # phase_table refuses a non-finite tau, spectrum or phase before any exp below
+    u = walk.phase_table(spec, tau)
     s = np.arange(M + 1, dtype=float)
 
-    winding = 4 * tau * alpha * s ** 2 - 2 * tau * alpha * (N - 1) * s - 2 * tau * beta * s
+    # tau * alpha first: 4 * tau can overflow where the product with alpha does not
+    winding = 4 * (tau * alpha) * s ** 2 - 2 * (tau * alpha) * (N - 1) * s - 2 * (tau * beta) * s
     winding_dev = float(np.abs(np.exp(-1j * winding) - 1.0).max())
-    step_dev = float(np.abs(np.exp(-1j * 4 * tau * alpha * s) - 1.0).max())
+    step_dev = float(np.abs(np.exp(-1j * 4 * (tau * alpha) * s) - 1.0).max())
 
     delta = (tau / 2.0) * (alpha - alpha * (N - 1) - beta)
     eighth_roots = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
     delta_dev = float(np.abs(np.exp(1j * delta) - eighth_roots).min())
 
-    u = np.exp(-1j * tau * kraw.graph_eigenvalues(spec))
     parity = (-1.0) ** np.arange(M + 1)
     best = None
     for eps in (1, -1):

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kraw, scheme
-from .errors import InvalidInputError, ResourceLimitError, require_finite_phase, require_unit_norm
+from .errors import InvalidInputError, ResourceLimitError, eigenphases, require_unit_norm
 
 # The state alone is ~1 GiB of complex amplitudes at M = 26, and an evolution
 # peaks at several times that; override with REVIVAL_MAX_M at your own risk.
@@ -120,11 +120,12 @@ def fwht(psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def phase_table(spec: WalkSpec, tau: float) -> np.ndarray:
-    """exp(-i tau E_s) for s = 0..M, with E_s the analytic eigenvalue on E(s)."""
-    energies = kraw.graph_eigenvalues(spec)
-    require_finite_phase(tau, energies)
-    return np.exp(-1j * tau * energies)
+def phase_table(spec: WalkSpec, tau) -> np.ndarray:
+    """exp(-i tau E_s) for s = 0..M, E_s the analytic eigenvalue on E(s), via errors.eigenphases.
+
+    An array of times gives one row per time.
+    """
+    return eigenphases(tau, kraw.graph_eigenvalues(spec))
 
 
 def evolve_graph(spec: WalkSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
@@ -139,10 +140,8 @@ def evolve_graph(spec: WalkSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
         raise InvalidInputError(
             f"state must have length 2^{spec.M} = {spec.size}, got shape {psi0.shape}"
         )
-    if not np.isfinite(tau):
-        raise InvalidInputError("tau must be finite")
-    require_unit_norm(psi0)
     phases = phase_table(spec, tau)
+    require_unit_norm(psi0)
     transformed = fwht(psi0)
     transformed *= phases[scheme.hamming_weights(spec.M)]
     return fwht(transformed)
@@ -200,17 +199,13 @@ def antipodal_scan(spec: WalkSpec, taus: np.ndarray):
     The corner-started walk stays in the column space, so
     mu = 2^-M sum_s C(M,s) e^{-i tau E_s} and nu is the same sum with a factor
     (-1)^s, at O(M) per time.  The size guard applies as for evolution, so
-    scans refuse the same M; then, in the order evolve_graph refuses, a time
-    that is not finite, and one whose phase overflows, before exp(-i tau E).
+    scans refuse the same M; then phase_table refuses, in the order
+    evolve_graph does, a time that is not finite, a spectrum that overflows,
+    and a largest |tau| whose phase overflows, before exp(-i tau E).
     """
     check_size(spec.M)
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if not np.isfinite(taus).all():
-        raise InvalidInputError("tau must be finite")
-    energies = kraw.graph_eigenvalues(spec)
-    require_finite_phase(float(np.abs(taus).max(initial=0.0)), energies)
+    phases = phase_table(spec, np.atleast_1d(taus))
     weights = np.array([comb(spec.M, s) / 2 ** spec.M for s in range(spec.M + 1)])
-    phases = np.exp(-1j * np.outer(taus, energies))
     return phases @ weights, phases @ (weights * (-1.0) ** np.arange(spec.M + 1))
 
 

@@ -282,6 +282,20 @@ def test_scan_and_library_share_tau_grid_refusals(capsys, monkeypatch, tau_max, 
      "p/q = 1/2 contradicts alpha/beta = inf"),
     (["appendix", "--N", "4", "--alpha", "2", "--beta", "2", "--p", "1", "--q", "3"],
      "p/q = 1/3 contradicts alpha/beta = 1.0"),
+    # couplings at the ends of the float range: the spectrum, or tau_fr, overflows
+    (["verify", "--N", "4", "--alpha", "1e308", "--beta", "1e308"], "the spectrum overflows a float"),
+    (["appendix", "--N", "4", "--alpha", "1e308", "--beta", "1e308"], "the spectrum overflows a float"),
+    (["evolve", "--N", "4", "--alpha", "1e308", "--beta", "1e308", "--tau", "fr"],
+     "the spectrum overflows a float"),
+    (["scan", "--N", "4", "--alpha", "1e308", "--beta", "1e308"], "the spectrum overflows a float"),
+    (["verify", "--N", "4", "--alpha", "1e-310", "--beta", "1e-310"], "tau must be finite"),
+    (["appendix", "--N", "4", "--alpha", "1e-310", "--beta", "1e-310"], "tau must be finite"),
+    (["evolve", "--N", "4", "--alpha", "1e-310", "--beta", "1e-310", "--tau", "fr"], "tau must be finite"),
+    (["scan", "--N", "4", "--alpha", "1e-310", "--beta", "1e-310"],
+     "tau range [0.0, inf] must have a finite width"),
+    # the chain refuses the time before it refuses (0, 0)
+    (["evolve", "--N", "4", "--alpha", "0", "--beta", "0", "--tau", "inf", "--target", "chain"],
+     "tau must be finite"),
 ])
 def test_ratio_inputs_exit_one_with_one_line(capsys, argv, message):
     code, out, err = run_without_warnings(capsys, argv)
@@ -387,7 +401,8 @@ def test_appendix_command(capsys):
     assert payload["appendix"]["sign"] in (1, -1)
 
 
-def test_appendix_derives_its_certificate_once(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["appendix", "verify"])
+def test_appendix_derives_its_certificate_once(capsys, monkeypatch, command):
     real = revival.check_conditions
     calls = []
 
@@ -396,7 +411,7 @@ def test_appendix_derives_its_certificate_once(capsys, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(revival, "check_conditions", counted)
-    code, out, _ = run(capsys, ["appendix", "--N", "4", "--alpha", "2", "--beta", "2"])
+    code, out, _ = run(capsys, [command, "--N", "4", "--alpha", "2", "--beta", "2"])
     assert code == 0
     assert len(calls) == 1
     assert json.loads(out)["certificate"]["tau_fr"] == pytest.approx(pi / 4)
@@ -618,6 +633,22 @@ def test_verify_fails_when_the_fwht_engine_disagrees(capsys, monkeypatch):
     assert run(capsys, argv)[0] == 0
     monkeypatch.setattr(walk, "evolve_graph", shifted)
     assert run(capsys, argv)[0] == 2
+
+
+def test_verify_fails_when_the_appendix_identity_fails(capsys, monkeypatch):
+    # the dense oracle of the identity disagrees; the amplitude checks still pass
+    real = walk.dense_hamiltonian
+
+    def shifted(spec):
+        h = real(spec)
+        h[0, 0] += 1e-6
+        return h
+
+    argv = ["verify", "--N", "4", "--alpha", "2", "--beta", "2"]
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(walk, "dense_hamiltonian", shifted)
+    assert run(capsys, argv)[0] == 2
+    assert not revival.certify_numeric(4, 2.0, 2.0).passed
 
 
 @pytest.mark.parametrize("argv", [

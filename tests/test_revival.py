@@ -227,6 +227,24 @@ def test_appendix_report_carries_its_certificate(N, alpha, beta, p, q):
     assert report.tau == report.certificate.tau_fr
 
 
+@pytest.mark.parametrize("N, alpha, beta", [(4, 2.0, 2.0), (5, 1.0, 0.0), (6, 1.0, 1.0)])
+def test_certify_carries_the_appendix_of_its_certificate(N, alpha, beta):
+    assert revival.certify_numeric(N, alpha, beta).appendix == revival.appendix_phase_check(N, alpha, beta)
+
+
+@pytest.mark.parametrize("N, alpha, beta", [(4, 2.0, 1.0), (5, 2.0, 2.0), (4, 1.0, 0.0)])
+def test_certify_has_no_appendix_without_balanced_fr(N, alpha, beta):
+    rep = revival.certify_numeric(N, alpha, beta, scan_steps=2000)
+    assert rep.certificate.kind in (revival.PST_ONLY, revival.NONE)
+    assert rep.appendix is None
+
+
+def test_fr_time_of_couplings_near_the_float_limit():
+    # 2|beta| overflows above 8.99e307; the FR time itself is an ordinary small float
+    c = 1e308
+    assert revival.check_conditions(4, c, c).tau_fr == pytest.approx(0.5 * pi / c, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.filterwarnings("error")
 def test_ratio_without_a_close_rational_or_contradicting_pq():
     for alpha, beta in ((1e300, 1e-10), (1.0, 1e-310), (-1.0, 1e-310),
