@@ -16,22 +16,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, eigenphases, require_unit_norm
+from .errors import InvalidInputError, eigenphases, require_model, require_unit_norm
 
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Chain model parameters: N sites, NNN strength alpha, NN strength beta."""
+    """Chain model parameters: N sites, NNN strength alpha, NN strength beta.
+
+    errors.require_model refuses them; chain_evolve refuses (alpha, beta) = (0, 0).
+    """
 
     N: int
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if self.N < 2:
-            raise InvalidInputError(f"chain needs at least 2 sites, got N = {self.N}")
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
-            raise InvalidInputError("alpha and beta must be finite")
+        require_model(self.N, self.alpha, self.beta)
 
 
 class Couplings(NamedTuple):

@@ -132,16 +132,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _resolve_tau(args: argparse.Namespace) -> float:
     if isinstance(args.tau, float):
         return args.tau
+    # _tau_arg admits only a number, "fr" or "pst"
     cert = revival.check_conditions(args.N, args.alpha, args.beta, p=args.p, q=args.q)
-    if args.tau == "fr":
-        if cert.tau_fr is None:
-            raise InvalidInputError("no FR time exists for these parameters")
-        return cert.tau_fr
-    if args.tau == "pst":
-        if cert.tau_pst is None:
-            raise InvalidInputError("no PST time exists for these parameters")
-        return cert.tau_pst
-    raise InvalidInputError(f"tau must be a number, 'fr' or 'pst', got {args.tau!r}")
+    tau = cert.tau_fr if args.tau == "fr" else cert.tau_pst
+    if tau is None:
+        raise InvalidInputError(f"no {args.tau.upper()} time exists for these parameters")
+    return tau
 
 
 def _amplitude_rows(system: str, psi: np.ndarray, first: int):

@@ -1,10 +1,14 @@
-"""Exception types and the state and phase checks shared across the package."""
+"""Exception types and the one home of each input rule: model, 2^M size, state norm, phases."""
 
 import math
+import os
 
 import numpy as np
 
 NORM_TOL = 1e-12
+# The state alone is ~1 GiB of complex amplitudes at M = 26, and an evolution
+# peaks at several times that; override with REVIVAL_MAX_M at your own risk.
+DEFAULT_MAX_M = 26
 
 
 class InvalidInputError(ValueError):
@@ -13,6 +17,27 @@ class InvalidInputError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """Request exceeds a hard size guard and was refused instead of thrashing."""
+
+
+def require_model(N: int, alpha: float = 0.0, beta: float = 0.0) -> None:
+    """The one model check: refuse N below 2, then a non-finite alpha or beta (N alone for columns)."""
+    if N < 2:
+        raise InvalidInputError(f"need N >= 2, got {N}")
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise InvalidInputError("alpha and beta must be finite")
+
+
+def check_size(M: int) -> None:
+    """Refuse M above the guard, REVIVAL_MAX_M or else DEFAULT_MAX_M, before any 2^M allocation."""
+    raw = os.environ.get("REVIVAL_MAX_M")
+    try:
+        limit = DEFAULT_MAX_M if raw is None else int(raw)
+    except ValueError as exc:
+        raise InvalidInputError(f"REVIVAL_MAX_M must be an integer, got {raw!r}") from exc
+    if M > limit:
+        raise ResourceLimitError(
+            f"M = {M} exceeds the guard ({limit}); set REVIVAL_MAX_M to override"
+        )
 
 
 def require_unit_norm(psi: np.ndarray) -> None:

@@ -14,22 +14,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
 from . import chain as chain_mod
 from . import scheme, walk
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, require_model
 
 # Explicit two-index summation over all vertex pairs stops here.
 ENUMERATION_MAX_N = 14
 
 
 def _check_enumeration(N: int) -> None:
-    """Refuse N below 2 or above ENUMERATION_MAX_N before any vertex pair is enumerated."""
-    if N < 2:
-        raise InvalidInputError(f"need N >= 2, got {N}")
+    """Refuse what errors.require_model refuses, then N above ENUMERATION_MAX_N, before enumerating."""
+    require_model(N)
     if N > ENUMERATION_MAX_N:
         raise ResourceLimitError(f"explicit enumeration refused for N = {N} > {ENUMERATION_MAX_N}")
 
@@ -41,8 +40,7 @@ class ColumnBasis:
     N: int
 
     def __post_init__(self):
-        if self.N < 2:
-            raise InvalidInputError(f"need N >= 2 columns, got {self.N}")
+        require_model(self.N)
 
     @property
     def M(self) -> int:
@@ -278,10 +276,13 @@ def compare_states(
 
     The chain side is multiplied by exp(+i tau alpha (N-1)/4), compensating
     the constant (alpha/4)(N-1) I dropped when the graph Hamiltonian was
-    reduced to (alpha/2)A_2 + (beta/2)A_1.
+    reduced to (alpha/2)A_2 + (beta/2)A_1; a phase that overflows is refused.
     """
+    shift = tau * alpha * (N - 1) / 4.0
+    if not isfinite(shift):
+        raise InvalidInputError("the chain phase tau * alpha * (N - 1) / 4 overflows a float")
     state = project(ColumnBasis(N), graph_state)
-    chain_side = np.exp(1j * tau * alpha * (N - 1) / 4.0) * chain_state
+    chain_side = np.exp(1j * shift) * chain_state
     dev = float(np.abs(state.coords - chain_side).max())
     return EquivalenceReport(
         N=N, alpha=alpha, beta=beta, tau=tau, max_deviation=dev, leakage=state.leakage

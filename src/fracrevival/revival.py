@@ -32,7 +32,7 @@ from math import copysign, gcd, inf, isfinite, pi
 import numpy as np
 
 from . import walk
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_model
 
 BALANCED_FR = "balanced_FR"
 PST_ONLY = "PST_only"
@@ -96,53 +96,38 @@ def check_conditions(
 ) -> RevivalCertificate:
     """Classify (N, alpha, beta) into balanced FR / PST only / no revival.
 
-    The ratio alpha/beta is rationalized by continued fractions (tolerance
-    1e-9, denominator capped at 10^6); callers holding the exact integers may
-    pass p and q to bypass the float round trip.  Explicit p and q must agree
-    with alpha/beta within that tolerance, so beta = 0 refuses them.
+    errors.require_model refuses no model, then (0, 0) is refused.  The ratio
+    alpha/beta is rationalized by continued fractions (tolerance 1e-9,
+    denominator capped at 10^6); callers holding the exact integers may pass p
+    and q to bypass the float round trip.  Explicit p and q must agree with
+    alpha/beta within that tolerance, so beta = 0 refuses them.
     """
-    if N < 2:
-        raise InvalidInputError(f"need N >= 2, got {N}")
-    if not (np.isfinite(alpha) and np.isfinite(beta)):
-        raise InvalidInputError("alpha and beta must be finite")
+    require_model(N, alpha, beta)
     if alpha == 0.0 and beta == 0.0:
         raise InvalidInputError("(alpha, beta) != (0, 0) required")
 
-    ratio = _rationalize(alpha, beta, p, q)
-    if beta == 0.0:
-        if N % 2 == 1:
-            tau_fr = _fr_time(alpha, beta, None)
-            return RevivalCertificate(
-                kind=BALANCED_FR, N=N, alpha=alpha, beta=beta,
-                tau_fr=tau_fr, tau_pst=2.0 * tau_fr,
-            )
-        return RevivalCertificate(
-            kind=NONE, N=N, alpha=alpha, beta=beta,
-            reason="beta = 0 admits revival only for odd N",
-        )
+    rp, rq = _rationalize(alpha, beta, p, q) or (None, None)
+    if beta == 0.0 and N % 2 == 0:
+        kind, reason = NONE, "beta = 0 admits revival only for odd N"
+    elif beta == 0.0:
+        kind, reason = BALANCED_FR, ""
+    elif rp is None:
+        kind, reason = NONE, "ratio not rationalizable (no p/q within 1e-9 with q <= 1e6)"
+    elif rp % 2 == 0:
+        # p even forces q odd (coprimality): transfer without revival
+        kind, reason = PST_ONLY, ""
+    elif rq % 2 != N % 2:
+        kind, reason = BALANCED_FR, ""
+    else:
+        kind, reason = NONE, f"p = {rp} odd but q = {rq} and N = {N} share parity"
 
-    if ratio is None:
-        return RevivalCertificate(
-            kind=NONE, N=N, alpha=alpha, beta=beta,
-            reason="ratio not rationalizable (no p/q within 1e-9 with q <= 1e6)",
-        )
-    rp, rq = ratio
-    if rp % 2 != 0:
-        if rq % 2 != N % 2:
-            tau_fr = _fr_time(alpha, beta, rq)
-            return RevivalCertificate(
-                kind=BALANCED_FR, N=N, alpha=alpha, beta=beta, p=rp, q=rq,
-                tau_fr=tau_fr, tau_pst=2.0 * tau_fr,
-            )
-        return RevivalCertificate(
-            kind=NONE, N=N, alpha=alpha, beta=beta, p=rp, q=rq,
-            reason=f"p = {rp} odd but q = {rq} and N = {N} share parity",
-        )
-    # p even forces q odd (coprimality): transfer without revival
-    return RevivalCertificate(
-        kind=PST_ONLY, N=N, alpha=alpha, beta=beta, p=rp, q=rq,
-        tau_pst=pi * rq / abs(beta),
-    )
+    tau_fr = tau_pst = None
+    if kind == BALANCED_FR:
+        tau_fr = _fr_time(alpha, beta, rq)
+        tau_pst = 2.0 * tau_fr
+    elif kind == PST_ONLY:
+        tau_pst = pi * rq / abs(beta)
+    return RevivalCertificate(kind, N, alpha, beta, rp, rq, tau_fr, tau_pst, reason)
 
 
 @dataclass(frozen=True)
@@ -364,11 +349,16 @@ def _appendix_identity(cert: RevivalCertificate, spec: walk.WalkSpec) -> Appendi
     s = np.arange(M + 1, dtype=float)
 
     # tau * alpha first: 4 * tau can overflow where the product with alpha does not
-    winding = 4 * (tau * alpha) * s ** 2 - 2 * (tau * alpha) * (N - 1) * s - 2 * (tau * beta) * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        winding = 4 * (tau * alpha) * s ** 2 - 2 * (tau * alpha) * (N - 1) * s - 2 * (tau * beta) * s
+    delta = (tau / 2.0) * (alpha - alpha * (N - 1) - beta)
+    phi = tau * (alpha / 4.0 * (N - 1) * (N - 2) + beta / 2.0 * (N - 1)) + delta
+    # these can overflow where tau * E does not (delta and phi form alpha * (N - 1) before tau)
+    if not (np.isfinite(winding).all() and isfinite(delta) and isfinite(phi)):
+        raise InvalidInputError("the winding, delta or phi phase overflows a float")
     winding_dev = float(np.abs(np.exp(-1j * winding) - 1.0).max())
     step_dev = float(np.abs(np.exp(-1j * 4 * (tau * alpha) * s) - 1.0).max())
 
-    delta = (tau / 2.0) * (alpha - alpha * (N - 1) - beta)
     eighth_roots = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
     delta_dev = float(np.abs(np.exp(1j * delta) - eighth_roots).min())
 
@@ -381,8 +371,6 @@ def _appendix_identity(cert: RevivalCertificate, spec: walk.WalkSpec) -> Appendi
             best = (dev, eps, factor)
     assembled_dev, sign, factor = best
     phi_prime = float(-np.angle(factor))
-
-    phi = tau * (alpha / 4.0 * (N - 1) * (N - 2) + beta / 2.0 * (N - 1)) + delta
     phi_consistency = float(
         min(abs(factor - np.exp(-1j * phi)), abs(factor + np.exp(-1j * phi)))
     )

@@ -9,7 +9,8 @@ O(2^M) instead of O(4^M).
 
 Combinatorial identities (intersection numbers, the tridiagonal product rule
 A_i A_1 = c_{i+1} A_{i+1} + b_{i-1} A_{i-1}) are checked in exact integer
-arithmetic; floating point appears only in amplitude vectors.
+arithmetic; floating point appears only in amplitude vectors.  Every function
+that builds a 2^M table from M calls errors.check_size before it allocates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError
+from .errors import InvalidInputError, ResourceLimitError, check_size
 
 # Dense 2^M x 2^M verification is refused above this M (memory scales as 4^M).
 DENSE_MAX_M = 12
@@ -39,6 +40,7 @@ def hamming_weights(M: int) -> np.ndarray:
     below 2^k with bit k set, so w[2^k : 2^(k+1)] = w[:2^k] + 1, and no wider
     integer array is ever allocated.
     """
+    check_size(M)
     if M < 0:
         raise InvalidInputError("M must be non-negative")
     w = np.zeros(1 << M, dtype=np.uint8)
@@ -101,6 +103,7 @@ def intersection_number(i: int, j: int, k: int, M: int, x: int = 0, y: int | Non
     depend on that choice (a property the test suite checks rather than
     assumes).
     """
+    check_size(M)
     for name, v in (("i", i), ("j", j), ("k", k)):
         if not 0 <= v <= M:
             raise InvalidInputError(f"{name} must lie in [0, {M}], got {v}")
@@ -116,6 +119,7 @@ def intersection_number(i: int, j: int, k: int, M: int, x: int = 0, y: int | Non
 
 def intersection_table(k: int, M: int, x: int = 0, y: int | None = None) -> np.ndarray:
     """All p_{ij}^k for 0 <= i, j <= M at once, as an (M+1) x (M+1) integer array."""
+    check_size(M)
     if not 0 <= k <= M:
         raise InvalidInputError(f"k must lie in [0, {M}], got {k}")
     if y is None:
@@ -133,6 +137,7 @@ def dense_adjacency(M: int, i: int) -> np.ndarray:
     """Materialize A_i as a dense int8 matrix (verification scale only)."""
     if M > DENSE_MAX_M:
         raise ResourceLimitError(f"dense adjacency refused for M = {M} > {DENSE_MAX_M}")
+    check_size(M)
     if not 0 <= i <= M:
         raise InvalidInputError(f"distance class must lie in [0, {M}], got {i}")
     size = 1 << M

@@ -20,7 +20,6 @@ oracle for small M.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
@@ -28,40 +27,24 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kraw, scheme
-from .errors import InvalidInputError, ResourceLimitError, eigenphases, require_unit_norm
+from .errors import InvalidInputError, ResourceLimitError, check_size, eigenphases, require_model, require_unit_norm
 
-# The state alone is ~1 GiB of complex amplitudes at M = 26, and an evolution
-# peaks at several times that; override with REVIVAL_MAX_M at your own risk.
-DEFAULT_MAX_M = 26
 ORACLE_MAX_M = 10
-
-
-def check_size(M: int) -> None:
-    """Refuse M above the guard, REVIVAL_MAX_M or else DEFAULT_MAX_M, before any 2^M allocation."""
-    raw = os.environ.get("REVIVAL_MAX_M")
-    try:
-        limit = DEFAULT_MAX_M if raw is None else int(raw)
-    except ValueError as exc:
-        raise InvalidInputError(f"REVIVAL_MAX_M must be an integer, got {raw!r}") from exc
-    if M > limit:
-        raise ResourceLimitError(
-            f"M = {M} exceeds the guard ({limit}); set REVIVAL_MAX_M to override"
-        )
 
 
 @dataclass(frozen=True)
 class WalkSpec:
-    """Graph model parameters: M = N-1 bits, diagonal weight alpha/2, edge weight beta/2."""
+    """Graph model parameters: M = N-1 bits, diagonal weight alpha/2, edge weight beta/2.
+
+    errors.require_model refuses them as the model of N = M + 1 sites.
+    """
 
     M: int
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if self.M < 1:
-            raise InvalidInputError(f"M must be at least 1, got {self.M}")
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
-            raise InvalidInputError("alpha and beta must be finite")
+        require_model(self.M + 1, self.alpha, self.beta)
 
     @property
     def size(self) -> int:

@@ -296,12 +296,41 @@ def test_scan_and_library_share_tau_grid_refusals(capsys, monkeypatch, tau_max, 
     # the chain refuses the time before it refuses (0, 0)
     (["evolve", "--N", "4", "--alpha", "0", "--beta", "0", "--tau", "inf", "--target", "chain"],
      "tau must be finite"),
+    # the appendix phases form alpha * (N - 1), or 4 tau alpha s^2, where tau * E stays finite
+    (["appendix", "--N", "3", "--alpha", "1e308", "--beta", "0"], "the winding, delta or phi phase overflows"),
+    (["verify", "--N", "3", "--alpha", "1e308", "--beta", "0"], "the winding, delta or phi phase overflows"),
+    (["appendix", "--N", "3", "--alpha=-8.99e307", "--beta", "1e308"],
+     "the winding, delta or phi phase overflows"),
+    # an odd p next to 1e306 gives balanced FR at N = 16, where 4 tau alpha M^2 overflows
+    (["appendix", "--N", "16", "--alpha", "1e306", "--beta", "1", "--p", str(int(1e306) + 1), "--q", "1"],
+     "the winding, delta or phi phase overflows"),
+    # the chain-side phase tau * alpha * (N - 1) / 4 overflows after both evolutions passed
+    (["quotient", "--N", "3", "--alpha", "6", "--beta", "2e-307", "--tau", "pst"],
+     "the chain phase tau * alpha * (N - 1) / 4 overflows a float"),
+    (["evolve", "--N", "3", "--alpha", "6", "--beta", "2e-307", "--tau", "pst", "--target", "both"],
+     "the chain phase tau * alpha * (N - 1) / 4 overflows a float"),
+    (["evolve", "--N", "3", "--alpha", "6", "--beta", "2e-307", "--tau", "pst", "--target", "both", "--json"],
+     "the chain phase tau * alpha * (N - 1) / 4 overflows a float"),
+    (["evolve", "--N", "3", "--alpha", "1e308", "--beta", "0", "--tau", "1.234", "--target", "both"],
+     "the chain phase tau * alpha * (N - 1) / 4 overflows a float"),
 ])
 def test_ratio_inputs_exit_one_with_one_line(capsys, argv, message):
     code, out, err = run_without_warnings(capsys, argv)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("N", ["1", "0"])
+@pytest.mark.parametrize("command", [
+    ["verify"], ["appendix"], ["quotient"], ["scan"],
+    ["evolve", "--tau", "1.0", "--target", "graph"],
+    ["evolve", "--tau", "1.0", "--target", "chain"],
+    ["evolve", "--tau", "1.0", "--target", "both"],
+])
+def test_every_command_refuses_fewer_than_two_sites_in_one_line(capsys, command, N):
+    code, out, err = run_without_warnings(capsys, command + ["--N", N, "--alpha", "1", "--beta", "1"])
+    assert (code, out, err) == (1, "", f"error: need N >= 2, got {N}\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

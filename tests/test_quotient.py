@@ -92,6 +92,19 @@ def test_quotient_guard():
         quotient.quotient_matrix_elements(15)
 
 
+@pytest.mark.parametrize("build", [
+    lambda basis: quotient.lift(basis, np.eye(basis.N)[0]),
+    lambda basis: quotient.project(basis, np.full(1 << basis.M, 2.0 ** (-basis.M / 2))),
+    lambda basis: basis.members(1),
+    lambda basis: basis.column_vector(1),
+], ids=["lift", "project", "members", "column_vector"])
+def test_column_tables_obey_the_size_guard(monkeypatch, build):
+    monkeypatch.setenv("REVIVAL_MAX_M", "4")
+    with pytest.raises(ResourceLimitError, match="set REVIVAL_MAX_M to override"):
+        build(quotient.ColumnBasis(6))
+    build(quotient.ColumnBasis(5))
+
+
 @pytest.mark.parametrize("N", range(2, 11))
 def test_shifted_diagonal_identity(N):
     report = quotient.verify_shifted_diagonal(N)

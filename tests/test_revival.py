@@ -1,9 +1,11 @@
 """Revival arithmetic, numeric certification, and the antipodal phase identity."""
 
-from math import pi
+from math import gcd, pi
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fracrevival import revival, walk
 from fracrevival.errors import InvalidInputError
@@ -316,3 +318,33 @@ def test_engine_cross_check_runs_exactly_at_oracle_scale(N, alpha, beta):
     assert ("engine_dev" in rep.checks) == (N - 1 <= walk.ORACLE_MAX_M)
     assert rep.checks.get("engine_dev", 0.0) < 1e-12
     assert rep.passed
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    N=st.integers(2, 60),
+    p=st.integers(0, 999),
+    q=st.integers(1, 999),
+    sign_alpha=st.sampled_from([1, -1]),
+    sign_beta=st.sampled_from([1, -1]),
+    explicit=st.booleans(),
+)
+def test_check_conditions_property(N, p, q, sign_alpha, sign_beta, explicit):
+    assume(gcd(p, q) == 1)
+    alpha, beta = float(sign_alpha * p), float(sign_beta * q)
+    rp = sign_alpha * sign_beta * p
+    cert = revival.check_conditions(N, alpha, beta, *((rp, q) if explicit else ()))
+    if p % 2 == 0:
+        kind = revival.PST_ONLY
+    elif q % 2 != N % 2:
+        kind = revival.BALANCED_FR
+    else:
+        kind = revival.NONE
+    assert (cert.kind, cert.p, cert.q) == (kind, rp, q)
+    if kind == revival.BALANCED_FR:
+        assert cert.tau_fr == 0.5 * pi * q / abs(beta)
+        assert cert.tau_pst == 2.0 * cert.tau_fr
+    else:
+        assert cert.tau_fr is None
+        assert cert.tau_pst == (pi * q / abs(beta) if kind == revival.PST_ONLY else None)
+    assert (cert.reason != "") == (kind == revival.NONE)

@@ -178,3 +178,16 @@ def test_bose_mesner_all_rows_exact(M):
 def test_bose_mesner_resource_guard():
     with pytest.raises(ResourceLimitError):
         scheme.verify_bose_mesner_row(1, 13)
+
+
+@pytest.mark.parametrize("build", [
+    scheme.hamming_weights,
+    lambda M: scheme.intersection_number(0, 0, 0, M),
+    lambda M: scheme.intersection_table(0, M),
+    lambda M: scheme.dense_adjacency(M, 1),
+], ids=["hamming_weights", "intersection_number", "intersection_table", "dense_adjacency"])
+def test_tables_built_from_m_obey_the_size_guard(monkeypatch, build):
+    monkeypatch.setenv("REVIVAL_MAX_M", "4")
+    with pytest.raises(ResourceLimitError, match="set REVIVAL_MAX_M to override"):
+        build(5)
+    build(4)
