@@ -25,20 +25,18 @@ from .errors import InvalidInputError, ResourceLimitError
 SCHEMA_VERSION = 1
 DEFAULT_SCAN_GRID = 2000
 
-# Table reports are formatted one %-template per row, on plain Python values,
-# and written ROWS_PER_BLOCK rows at a time.  "%.17g" % x is format(x, ".17g"),
-# and each template reproduces the bytes _render_json gives the same row.
+# Table reports are written ROWS_PER_BLOCK rows at a time, from plain Python
+# values: "%.17g" % x is format(x, ".17g"), so each row has the bytes
+# _render_json gives it.  A scan row is one template.  An amplitude row is
+# head % system, its index, and tail % (re, im, probability) formatted once
+# per distinct bit pattern in a block (see _amplitude_blocks).
 ROWS_PER_BLOCK = 4096
-AMPLITUDE_CSV_ROW = "%s,%d,%.17g,%.17g,%.17g\n"
-AMPLITUDE_JSON_ROW = (
-    "    {\n"
-    '      "system": "%s",\n'
-    '      "index": %d,\n'
-    '      "re": %.17g,\n'
-    '      "im": %.17g,\n'
-    '      "probability": %.17g\n'
-    "    }"
+AMPLITUDE_CSV = ("%s,", ",%.17g,%.17g,%.17g\n")
+AMPLITUDE_JSON = (
+    '    {\n      "system": "%s",\n      "index": ',
+    ',\n      "re": %.17g,\n      "im": %.17g,\n      "probability": %.17g\n    }',
 )
+_PATTERN = np.dtype((np.void, 16))  # the 16 bytes of one complex128, compared as bytes
 SCAN_CSV_ROW = "%.17g,%.17g,%.17g,%.17g\n"
 _TABLE = "\0table"  # stands in for the amplitude list while the JSON envelope is rendered
 
@@ -86,13 +84,11 @@ def _require_finite(*arrays: np.ndarray) -> None:
         raise InvalidInputError("non-finite value in report")
 
 
-def _blocks(template: str, rows, sep: str = ""):
-    """Format each row with one %-template; yield ROWS_PER_BLOCK rows a piece, joined by sep."""
+def _blocks(template: str, rows):
+    """Format each row with one %-template; yield ROWS_PER_BLOCK rows a piece."""
     rows = iter(rows)
-    lead = ""
     while block := [template % row for row in itertools.islice(rows, ROWS_PER_BLOCK)]:
-        yield lead + sep.join(block)
-        lead = sep
+        yield "".join(block)
 
 
 def _write(pieces, args: argparse.Namespace) -> None:
@@ -140,17 +136,39 @@ def _resolve_tau(args: argparse.Namespace) -> float:
     return tau
 
 
-def _amplitude_rows(system: str, psi: np.ndarray, first: int):
-    """(system, index, re, im, probability) per amplitude, as Python values.
+def _amplitude_blocks(states, layout: tuple[str, str], sep: str = ""):
+    """Amplitude rows of each (system, psi, first index) state, ROWS_PER_BLOCK a piece, joined by sep.
 
-    The state is checked for finiteness first.  The probability is
-    abs(c) ** 2 on the Python complex, equal bit for bit to numpy's scalar
-    abs(c) ** 2; the vectorized np.abs(psi) ** 2 differs in the last bits.
+    The corner-started walk stays in the (M+1)-dimensional column space, so
+    a block holds few distinct amplitudes.  np.unique over the 16-byte
+    patterns of a block finds them; re, im and the probability are formatted
+    once per pattern, and a row is head, index and its pattern's tail.  The
+    key is the bits, never the value: 0.0 == -0.0, yet they print as "0" and
+    "-0".  The probability is abs(c) ** 2 on the Python complex, equal bit
+    for bit to numpy's scalar abs(c) ** 2; the vectorized np.abs(psi) ** 2
+    differs in the last bits.  Tails carry over to the next block until
+    ROWS_PER_BLOCK are kept, so working memory stays O(ROWS_PER_BLOCK).  The
+    states must be finite: the caller checks them before the first byte.
     """
-    _require_finite(psi)
-    probabilities = [abs(c) ** 2 for c in psi.tolist()]
-    return zip(itertools.repeat(system), itertools.count(first),
-               psi.real.tolist(), psi.imag.tolist(), probabilities)
+    head_template, tail_template = layout
+    lead = ""
+    for system, psi, first in states:
+        head = head_template % system
+        tails = {}
+        for lo in range(0, len(psi), ROWS_PER_BLOCK):
+            block = np.ascontiguousarray(psi[lo:lo + ROWS_PER_BLOCK], dtype=np.complex128)
+            patterns, index, inverse = np.unique(block.view(_PATTERN), return_index=True, return_inverse=True)
+            if len(tails) >= ROWS_PER_BLOCK:
+                tails.clear()
+            block_tails = []
+            for key, c in zip(patterns.tolist(), block[index].tolist()):
+                tail = tails.get(key)
+                if tail is None:
+                    tail = tails[key] = tail_template % (c.real, c.imag, abs(c) ** 2)
+                block_tails.append(tail)
+            indices = range(first + lo, first + lo + len(block))
+            yield lead + sep.join([f"{head}{i}{block_tails[k]}" for i, k in zip(indices, inverse.tolist())])
+            lead = sep
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -170,7 +188,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         report = quotient.compare_states(args.N, args.alpha, args.beta, tau, psi_g, psi_c)
         quotient_dev = report.max_deviation
         leakage = report.leakage
-    rows = itertools.chain(*[_amplitude_rows(*state) for state in states])
+    _require_finite(*[psi for _, psi, _ in states])
 
     if args.json:
         payload = {
@@ -183,12 +201,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             "leakage": leakage,
         }
         head, tail = (_render_json(payload) + "\n").split(json.dumps(_TABLE))
-        pieces = [head + "[\n"], _blocks(AMPLITUDE_JSON_ROW, rows, ",\n"), ["\n  ]" + tail]
+        pieces = [head + "[\n"], _amplitude_blocks(states, AMPLITUDE_JSON, ",\n"), ["\n  ]" + tail]
     else:
         tail = ""
         if quotient_dev is not None:
             tail = f"# quotient_max_deviation = {_fmt(quotient_dev)}\n# leakage = {_fmt(leakage)}\n"
-        pieces = ["system,index,re,im,probability\n"], _blocks(AMPLITUDE_CSV_ROW, rows), [tail]
+        pieces = ["system,index,re,im,probability\n"], _amplitude_blocks(states, AMPLITUDE_CSV), [tail]
     _write(itertools.chain(*pieces), args)
     return 0
 
@@ -283,6 +301,18 @@ def cmd_appendix(args: argparse.Namespace) -> int:
     return 0 if report.passed else 2
 
 
+def _require_ratio(args: argparse.Namespace) -> None:
+    """Refuse a --p/--q that contradicts alpha/beta, once per command.
+
+    verify, appendix and a symbolic --tau hand p and q to check_conditions;
+    the other commands use no ratio, so they call it here for its refusals.
+    """
+    if (args.p is None and args.q is None or args.command in ("verify", "appendix")
+            or getattr(args, "tau", None) in ("fr", "pst")):
+        return
+    revival.check_conditions(args.N, args.alpha, args.beta, p=args.p, q=args.q)
+
+
 def _tau_arg(raw: str):
     if raw in ("fr", "pst"):
         return raw
@@ -355,6 +385,7 @@ def main(argv=None) -> int:
         print("error: evolve requires --tau", file=sys.stderr)
         return 1
     try:
+        _require_ratio(args)
         return _COMMANDS[args.command](args)
     except (InvalidInputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

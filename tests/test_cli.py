@@ -1,12 +1,16 @@
 """Command-line interface: exit codes, schemas, determinism."""
 
+import contextlib
 import io
 import json
+import tracemalloc
 import warnings
 from math import pi
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fracrevival import chain, cli, quotient, revival, walk
 from fracrevival.errors import InvalidInputError
@@ -313,6 +317,13 @@ def test_scan_and_library_share_tau_grid_refusals(capsys, monkeypatch, tau_max, 
      "the chain phase tau * alpha * (N - 1) / 4 overflows a float"),
     (["evolve", "--N", "3", "--alpha", "1e308", "--beta", "0", "--tau", "1.234", "--target", "both"],
      "the chain phase tau * alpha * (N - 1) / 4 overflows a float"),
+    # scan, evolve at a numeric tau and quotient take no ratio, yet refuse one that contradicts
+    (["scan", "--N", "4", "--alpha", "1", "--beta", "1", "--p", "5", "--q", "0", "--steps", "2"],
+     "pass both p and q (q nonzero) to fix the ratio exactly"),
+    (["evolve", "--N", "4", "--alpha", "1", "--beta", "1", "--p", "7", "--q", "3", "--tau", "0.5"],
+     "p/q = 7/3 contradicts alpha/beta = 1.0"),
+    (["quotient", "--N", "4", "--alpha", "1", "--beta", "1", "--p", "7", "--q", "3"],
+     "p/q = 7/3 contradicts alpha/beta = 1.0"),
 ])
 def test_ratio_inputs_exit_one_with_one_line(capsys, argv, message):
     code, out, err = run_without_warnings(capsys, argv)
@@ -446,6 +457,26 @@ def test_appendix_derives_its_certificate_once(capsys, monkeypatch, command):
     assert json.loads(out)["certificate"]["tau_fr"] == pytest.approx(pi / 4)
 
 
+@pytest.mark.parametrize("command", [
+    ["verify"], ["appendix"], ["scan", "--steps", "9"], ["quotient"], ["quotient", "--tau", "fr"],
+    ["evolve", "--tau", "0.5"], ["evolve", "--tau", "fr", "--target", "both"],
+])
+def test_agreeing_ratio_is_checked_once_and_keeps_the_bytes(capsys, monkeypatch, command):
+    argv = command + ["--N", "5", "--alpha", "3", "--beta", "2"]
+    plain = run(capsys, argv)
+    real = revival._rationalize
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(revival, "_rationalize", counted)
+    assert run(capsys, argv + ["--p", "3", "--q", "2"]) == plain
+    assert plain[0] == 0
+    assert calls.count((3, 2)) == 1
+
+
 def test_appendix_refusal_is_input_error(capsys):
     code, _, err = run(capsys, ["appendix", "--N", "5", "--alpha", "2", "--beta", "2"])
     assert code == 1
@@ -566,6 +597,47 @@ def test_evolve_bytes_match_per_value_reference(capsys, N, alpha, beta, target, 
     assert run(capsys, argv) == (0, reference_evolve(N, alpha, beta, tau, target, as_json), "")
 
 
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(2, 12),
+    alpha=st.floats(-2.0, 2.0),
+    beta=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    tau=st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+    target=st.sampled_from(["graph", "chain", "both"]),
+    as_json=st.booleans(),
+)
+def test_evolve_bytes_match_reference_for_any_couplings(N, alpha, beta, tau, target, as_json):
+    assume(alpha != 0.0 or beta != 0.0)
+    # "--alpha=" keeps argparse from reading a negative exponent form as an option
+    argv = ["evolve", "--N", str(N), f"--alpha={alpha!r}", f"--beta={beta!r}",
+            "--tau", repr(tau), "--target", target] + (["--json"] if as_json else [])
+    assert run_quietly(argv) == (0, reference_evolve(N, alpha, beta, tau, target, as_json), "")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_evolve_keeps_signed_zeros_apart(capsys, monkeypatch, as_json):
+    # 0.0 == -0.0 and they hash alike, yet "%.17g" prints them as "0" and "-0"
+    psi = np.zeros(2 ** 13, dtype=complex)
+    psi[0], psi[5000] = 0.6, 0.8j
+    psi[1] = complex(-0.0, 0.0)
+    psi[2] = complex(-0.0, -0.0)
+    psi[4097] = complex(0.0, -0.0)
+    psi[6000] = complex(-0.0, 0.0)
+    monkeypatch.setattr(walk, "evolve_graph", lambda *args: psi.copy())
+    argv = ["evolve", "--N", "14", "--alpha", "1", "--beta", "1", "--tau", "0.5"]
+    argv += ["--json"] if as_json else []
+    expected = reference_evolve(14, 1.0, 1.0, 0.5, "graph", as_json)
+    assert "-0" in expected  # every other zero prints as "0"
+    assert run(capsys, argv) == (0, expected, "")
+
+
 @pytest.mark.parametrize("N, alpha, beta", [(3, 1.25, -0.5), (12, -0.6, 1.4)])
 def test_scan_bytes_match_per_value_reference(capsys, N, alpha, beta):
     steps = 2 * cli.ROWS_PER_BLOCK + 5
@@ -594,6 +666,32 @@ def test_evolve_report_is_written_in_blocks(monkeypatch):
     # a header, four full blocks of graph rows, one block of chain rows, a tail
     assert len(recorder.sizes) == 7
     assert max(recorder.sizes) < 200 * cli.ROWS_PER_BLOCK < len(recorder.getvalue()) / 3
+
+
+def evolve_peak_bytes(tmp_path, monkeypatch, M, as_json):
+    """tracemalloc's peak over one evolve --out, the state built before it."""
+    psi = walk.evolve_graph(walk.WalkSpec(M=M, alpha=0.83, beta=-1.21), walk.corner_state(M), 1.7)
+    argv = ["evolve", "--N", str(M + 1), "--alpha", "0.83", "--beta", "-1.21", "--tau", "1.7",
+            "--out", str(tmp_path / "report")] + (["--json"] if as_json else [])
+    with monkeypatch.context() as patch:
+        patch.setattr(walk, "corner_state", lambda M: None)
+        patch.setattr(walk, "evolve_graph", lambda *args: psi)
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1], psi.nbytes
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_evolve_report_memory_stays_within_a_block(tmp_path, monkeypatch, as_json):
+    # small blocks, so that a block's rows and tails weigh little next to the state
+    monkeypatch.setattr(cli, "ROWS_PER_BLOCK", 256)
+    small_peak, small_state = evolve_peak_bytes(tmp_path, monkeypatch, 12, as_json)
+    large_peak, large_state = evolve_peak_bytes(tmp_path, monkeypatch, 15, as_json)
+    # only the finiteness check, a byte per amplitude, grows with M
+    assert large_peak - small_peak < (large_state - small_state) / 4
 
 
 def test_evolve_both_evolves_each_system_once(capsys, monkeypatch):
@@ -627,6 +725,25 @@ def test_non_finite_amplitude_writes_nothing(tmp_path, capsys, monkeypatch, targ
         return psi
 
     monkeypatch.setattr(walk, "evolve_graph", poisoned)
+    argv = ["evolve", "--N", "15", "--alpha", "1", "--beta", "1", "--tau", "0.5",
+            "--target", target] + (["--json"] if as_json else [])
+    assert run(capsys, argv) == (1, "", "error: non-finite value in report\n")
+    report = tmp_path / "report.txt"
+    assert run(capsys, argv + ["--out", str(report)]) == (1, "", "error: non-finite value in report\n")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("target", ["chain", "both"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_non_finite_chain_amplitude_writes_nothing(tmp_path, capsys, monkeypatch, target, as_json):
+    real = chain.chain_evolve
+
+    def poisoned(*args):
+        psi = real(*args)
+        psi[-1] = np.nan
+        return psi
+
+    monkeypatch.setattr(chain, "chain_evolve", poisoned)
     argv = ["evolve", "--N", "15", "--alpha", "1", "--beta", "1", "--tau", "0.5",
             "--target", target] + (["--json"] if as_json else [])
     assert run(capsys, argv) == (1, "", "error: non-finite value in report\n")
