@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -92,9 +93,16 @@ def _blocks(template: str, rows):
 
 
 def _write(pieces, args: argparse.Namespace) -> None:
-    """Write the text pieces in order to --out or stdout; the report is never joined whole."""
+    """Write the text pieces in order to --out or stdout; the report is never joined whole.
+
+    An --out that cannot be opened (a directory, a missing parent) is an input error.
+    """
     if args.out:
-        with open(args.out, "w", newline="") as handle:
+        try:
+            handle = open(args.out, "w", newline="")
+        except OSError as exc:
+            raise InvalidInputError(f"cannot open --out {args.out!r}: {exc.strerror or exc}") from exc
+        with handle:
             handle.writelines(pieces)
     else:
         sys.stdout.writelines(pieces)
@@ -332,6 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, tau=False):
+        # argparse reads "-1e-5" as an option, not a value; this pattern, a
+        # superset of argparse's own, also takes exponents as negative numbers
+        p._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
         p.add_argument("--N", type=int, required=True, help="number of chain sites (graph has 2^(N-1) vertices)")
         p.add_argument("--alpha", type=float, default=0.0, help="next-to-nearest / face-diagonal strength")
         p.add_argument("--beta", type=float, default=0.0, help="nearest / hypercube-edge strength")

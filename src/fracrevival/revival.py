@@ -13,7 +13,10 @@ times; the dynamics only reverses in time.
 resulting certificate with the corner and antipode amplitudes of the walk and,
 for balanced FR, with the closed matrix identity
 e^{-i tau H} = e^{-i phi'} (A_0 +- i A_M)/sqrt(2) that `appendix_phase_check`
-verifies eigenvalue by eigenvalue and, at small M, against the dense oracle.
+verifies eigenvalue by eigenvalue and, at M <= 8, entrywise on the dense H.
+The right side is a scalar on each eigenspace of the antipode map J = A_M, so
+the dense check first tests exactly that H commutes with J, then
+diagonalizes the two 2^(M-1)-sized sectors J = +-1 instead of all of H.
 
 `certify_numeric` reads the amplitudes from the closed form at O(M), with no
 2^M state.  At oracle scale (M <= walk.ORACLE_MAX_M) it also evolves the
@@ -299,7 +302,7 @@ class AppendixReport:
     delta_dev: float                # distance of e^{i delta} from {+-(1+-i)/sqrt(2)}
     assembled_max_dev: float        # eigenvalue-level identity deviation
     phi_consistency_dev: float      # |e^{-i phi'} -+ e^{-i phi}|, smaller branch
-    dense_identity_dev: float | None  # entrywise vs dense oracle, M <= 8 only
+    dense_identity_dev: float | None  # entrywise on the two sectors of the dense H, M <= 8 only
     certificate: RevivalCertificate
 
     @property
@@ -328,8 +331,12 @@ def appendix_phase_check(
     phase 4 tau alpha s are multiples of 2 pi; e^{i delta} with
     delta = (tau/2)(alpha - alpha(N-1) - beta) lands on {+-(1+-i)/sqrt(2)};
     and the assembled per-eigenvalue identity holds with one fixed sign and
-    phase.  For M <= 8 the matrix identity is also checked entrywise against
-    the dense oracle.
+    phase.  For M <= 8 the matrix identity is also checked entrywise on the
+    dense H: an exact check that H commutes with the antipode map J, then one
+    eigendecomposition per sector J = +-1, each 2^(M-1) square, whose
+    propagator must be the scalar e^{-i phi'} (1 +- i sign)/sqrt(2).  An H
+    that does not commute with J fails with its largest commutation defect
+    as the deviation.
     """
     cert = check_conditions(N, alpha, beta, p=p, q=q)
     if cert.kind != BALANCED_FR:
@@ -375,16 +382,7 @@ def _appendix_identity(cert: RevivalCertificate, spec: walk.WalkSpec) -> Appendi
         min(abs(factor - np.exp(-1j * phi)), abs(factor + np.exp(-1j * phi)))
     )
 
-    dense_dev = None
-    if M <= 8:
-        h = walk.dense_hamiltonian(spec)
-        w, v = np.linalg.eigh(h)
-        propagator = (v * np.exp(-1j * tau * w)) @ v.T
-        size = 1 << M
-        antipode = np.zeros((size, size), dtype=complex)
-        antipode[np.arange(size), np.arange(size) ^ (size - 1)] = 1.0
-        target = factor * (np.eye(size) + 1j * sign * antipode) / np.sqrt(2.0)
-        dense_dev = float(np.abs(propagator - target).max())
+    dense_dev = _sector_identity_dev(walk.dense_hamiltonian(spec), tau, factor, sign) if M <= 8 else None
 
     return AppendixReport(
         N=N, alpha=alpha, beta=beta, tau=tau, delta=delta, phi_prime=phi_prime,
@@ -392,3 +390,29 @@ def _appendix_identity(cert: RevivalCertificate, spec: walk.WalkSpec) -> Appendi
         delta_dev=delta_dev, assembled_max_dev=assembled_dev,
         phi_consistency_dev=phi_consistency, dense_identity_dev=dense_dev, certificate=cert,
     )
+
+
+def _sector_identity_dev(h: np.ndarray, tau: float, factor: complex, sign: int) -> float:
+    """max |e^{-i tau H} - factor (I + i sign J)/sqrt(2)| over all entries, from the two sectors of J.
+
+    J sends vertex x to x' = 2^M - 1 - x, so J H J is h[::-1, ::-1] and
+    cross[x, y] = H[x, y'] for x, y in the top half.  If H commutes with J,
+    its sectors J = +-1 are top +- cross, on which the target is the scalar
+    factor (1 +- i sign)/sqrt(2); with D_+- each sector's propagator minus
+    its scalar, the entries of the full difference are (D_+ +- D_-)/2.  An H
+    that does not commute with J lacks the symmetry the identity rests on,
+    and its largest commutation defect is the deviation.
+    """
+    half = h.shape[0] // 2
+    top, cross = h[:half, :half], h[:half, :half - 1:-1]
+    defect = float(max(np.abs(h[::-1, ::-1] - h).max(), np.abs(cross - cross.T).max()))
+    if defect != 0.0:
+        return defect
+    sectors = []
+    for j in (1, -1):
+        w, v = np.linalg.eigh(top + j * cross)
+        d = (v * np.exp(-1j * tau * w)) @ v.T
+        d[np.diag_indices(half)] -= factor * (1 + 1j * j * sign) / np.sqrt(2.0)
+        sectors.append(d)
+    d_plus, d_minus = sectors
+    return float(max(np.abs(d_plus + d_minus).max(), np.abs(d_plus - d_minus).max())) / 2

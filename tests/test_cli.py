@@ -494,6 +494,50 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert payload["certificate"]["kind"] == "balanced_FR"
 
 
+EVERY_COMMAND = [
+    ["verify", "--N", "9", "--alpha", "1", "--beta", "2"],
+    ["evolve", "--N", "3", "--alpha", "1", "--beta", "1", "--tau", "1"],
+    ["evolve", "--N", "4", "--alpha", "2", "--beta", "2", "--tau", "fr", "--json"],
+    ["scan", "--N", "3", "--alpha", "1", "--beta", "1", "--steps", "2"],
+    ["quotient", "--N", "3"],
+    ["appendix", "--N", "4", "--alpha", "2", "--beta", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+@pytest.mark.parametrize("where, reason", [(".", "Is a directory"),
+                                           ("missing/report.txt", "No such file or directory")])
+def test_out_that_cannot_be_opened_exits_one_in_one_line(tmp_path, capsys, argv, where, reason):
+    out_path = str(tmp_path / where)
+    code, out, err = run_without_warnings(capsys, argv + ["--out", out_path])
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot open --out {out_path!r}: {reason}\n"
+
+
+FLOAT_OPTIONS = {
+    "--alpha": ["scan", "--N", "3", "--beta", "1", "--steps", "2"],
+    "--beta": ["scan", "--N", "3", "--alpha", "1", "--steps", "2"],
+    "--tau": ["evolve", "--N", "2", "--alpha", "1", "--beta", "1"],
+    "--tau-min": ["scan", "--N", "2", "--alpha", "1", "--beta", "1", "--tau-max", "1e300", "--steps", "2"],
+    "--tau-max": ["scan", "--N", "2", "--alpha", "1", "--beta", "1", "--steps", "2"],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    option=st.sampled_from(sorted(FLOAT_OPTIONS)),
+    value=st.floats(allow_nan=False, allow_infinity=False),
+    spelling=st.sampled_from(["%r", "%.17g", "%e", "%E", "%.3e"]),
+)
+def test_float_options_read_negative_exponent_forms_as_values(option, value, spelling):
+    text = spelling % value
+    apart = FLOAT_OPTIONS[option] + [option, text]
+    joined = FLOAT_OPTIONS[option] + [f"{option}={text}"]
+    parsed = cli.build_parser().parse_args(apart)
+    assert getattr(parsed, option[2:].replace("-", "_")) == float(text)
+    assert run_quietly(apart) == run_quietly(joined)
+
+
 def test_usage_error_maps_to_exit_one(capsys):
     assert cli.main(["verify"]) == 1          # missing --N
     capsys.readouterr()
@@ -615,7 +659,6 @@ def run_quietly(argv):
 )
 def test_evolve_bytes_match_reference_for_any_couplings(N, alpha, beta, tau, target, as_json):
     assume(alpha != 0.0 or beta != 0.0)
-    # "--alpha=" keeps argparse from reading a negative exponent form as an option
     argv = ["evolve", "--N", str(N), f"--alpha={alpha!r}", f"--beta={beta!r}",
             "--tau", repr(tau), "--target", target] + (["--json"] if as_json else [])
     assert run_quietly(argv) == (0, reference_evolve(N, alpha, beta, tau, target, as_json), "")
@@ -795,6 +838,27 @@ def test_verify_fails_when_the_appendix_identity_fails(capsys, monkeypatch):
     monkeypatch.setattr(walk, "dense_hamiltonian", shifted)
     assert run(capsys, argv)[0] == 2
     assert not revival.certify_numeric(4, 2.0, 2.0).passed
+
+
+@pytest.mark.parametrize("command", ["verify", "appendix"])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["J-symmetric", "asymmetric"])
+def test_a_perturbed_dense_hamiltonian_exits_two(capsys, monkeypatch, command, symmetric):
+    # J-symmetric: the sector propagators miss their scalars; asymmetric: H does not commute with J
+    real = walk.dense_hamiltonian
+
+    def shifted(spec):
+        h = real(spec)
+        h[0, 0] += 1e-6
+        if symmetric:
+            h[-1, -1] += 1e-6
+        return h
+
+    argv = [command, "--N", "4", "--alpha", "2", "--beta", "2"]
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(walk, "dense_hamiltonian", shifted)
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (2, "")
+    assert json.loads(out)["appendix"]["max_identity_dev"] > 1e-7
 
 
 @pytest.mark.parametrize("argv", [

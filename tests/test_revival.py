@@ -294,6 +294,107 @@ def test_appendix_dense_check_skipped_for_large_m():
     assert report.passed
 
 
+def _full_identity_dev(report, h, sign=None):
+    """max |e^{-i tau H} - e^{-i phi'} (I + i sign J)/sqrt(2)| from one eigendecomposition of all of h."""
+    sign = report.sign if sign is None else sign
+    w, v = np.linalg.eigh(h)
+    propagator = (v * np.exp(-1j * report.tau * w)) @ v.T
+    size = h.shape[0]
+    antipode = np.eye(size)[::-1]  # J sends x to 2^M - 1 - x
+    target = np.exp(-1j * report.phi_prime) * (np.eye(size) + 1j * sign * antipode) / np.sqrt(2.0)
+    return float(np.abs(propagator - target).max())
+
+
+def _balanced_fr(N, p, k, magnitude, sign, nnn):
+    """(alpha, beta, p, q) of a balanced FR on N sites: beta = 0 at odd N, else p odd and q = 2k + 1 + N % 2.
+
+    q then has the parity opposite to N; dividing out gcd(p, q), which is odd, keeps p odd and q's parity.
+    """
+    if nnn and N % 2 == 1:
+        return sign * magnitude, 0.0, None, None
+    q = 2 * k + 1 + N % 2
+    g = gcd(p, q)
+    beta = sign * magnitude
+    return beta * (p // g) / (q // g), beta, p // g, q // g
+
+
+@pytest.mark.parametrize("N", range(2, 10))
+@settings(max_examples=12, deadline=None)
+@given(
+    p=st.sampled_from([-9, -7, -5, -3, -1, 1, 3, 5, 7, 9]),
+    k=st.integers(0, 3),
+    magnitude=st.floats(0.5, 2.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    nnn=st.booleans(),
+)
+def test_sector_fold_equals_the_full_propagator_deviation(N, p, k, magnitude, sign, nnn):
+    alpha, beta, p, q = _balanced_fr(N, p, k, magnitude, sign, nnn)
+    report = revival.appendix_phase_check(N, alpha, beta, p=p, q=q)
+    h = walk.dense_hamiltonian(walk.WalkSpec(N - 1, alpha, beta))
+    assert report.passed
+    assert abs(report.dense_identity_dev - _full_identity_dev(report, h)) <= 1e-13
+    # against the other sign the whole deviation, sqrt(2), sits on the entries (x, J x)
+    wrong = revival._sector_identity_dev(h, report.tau, np.exp(-1j * report.phi_prime), -report.sign)
+    assert abs(wrong - _full_identity_dev(report, h, -report.sign)) <= 1e-13
+
+
+def _record_eigh(monkeypatch):
+    shapes = []
+    real = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("N, alpha, beta", [
+    (2, 1.0, 1.0), (3, 1.0, 0.0), (4, 2.0, 2.0), (5, -1.0, 2.0),
+    (6, 1.0, -1.0), (7, 1.0, 2.0), (8, 3.0, 1.0), (9, 1.0, 2.0),
+])
+def test_appendix_diagonalizes_only_the_two_sectors(monkeypatch, N, alpha, beta):
+    shapes = _record_eigh(monkeypatch)
+    revival.appendix_phase_check(N, alpha, beta)
+    half = 1 << (N - 2)
+    assert shapes == [(half, half), (half, half)]
+
+
+def _shifted_hamiltonian(monkeypatch, symmetric):
+    """Add 1e-6 to H[0, 0], and with symmetric also to H[J 0, J 0], so H commutes with J or does not."""
+    real = walk.dense_hamiltonian
+
+    def shifted(spec):
+        h = real(spec)
+        h[0, 0] += 1e-6
+        if symmetric:
+            h[-1, -1] += 1e-6
+        return h
+
+    monkeypatch.setattr(walk, "dense_hamiltonian", shifted)
+    return shifted
+
+
+def test_a_j_symmetric_perturbation_fails_through_the_sectors(monkeypatch):
+    shifted = _shifted_hamiltonian(monkeypatch, symmetric=True)
+    report = revival.appendix_phase_check(4, 2.0, 2.0)
+    assert report.assembled_max_dev < 1e-10  # the eigenvalue-level checks still pass
+    assert not report.passed
+    assert report.dense_identity_dev > 1e-7
+    full = _full_identity_dev(report, shifted(walk.WalkSpec(3, 2.0, 2.0)))
+    assert abs(report.dense_identity_dev - full) <= 1e-13
+
+
+def test_an_asymmetric_perturbation_fails_through_the_commutation_defect(monkeypatch):
+    _shifted_hamiltonian(monkeypatch, symmetric=False)
+    shapes = _record_eigh(monkeypatch)
+    report = revival.appendix_phase_check(4, 2.0, 2.0)
+    assert not report.passed
+    assert report.dense_identity_dev == 1e-6  # |H[0, 0] - H[J 0, J 0]|, with no eigendecomposition
+    assert shapes == []
+
+
 def test_scan_rejects_empty_grid():
     with pytest.raises(InvalidInputError):
         revival.scan_balanced_fr(walk.WalkSpec(3, 1.0, 1.0), 0.0)
