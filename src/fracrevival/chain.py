@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, eigenphases, require_model, require_unit_norm
+from .errors import InvalidInputError, eigenphases, require_length, require_model, require_unit_norm
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,7 @@ def chain_evolve(spec: ChainSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
     eigenphase refusals come before the state and (0, 0) checks.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (spec.N,):
-        raise InvalidInputError(f"state must have length N = {spec.N}, got shape {psi0.shape}")
+    require_length(psi0, spec.N)
     with np.errstate(over="ignore"):
         h = build_hamiltonian(spec).to_dense()
     # max|E| is at least the largest |entry| of a symmetric matrix, and eigh cannot take an inf

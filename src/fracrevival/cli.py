@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import asdict
@@ -85,27 +86,33 @@ def _require_finite(*arrays: np.ndarray) -> None:
         raise InvalidInputError("non-finite value in report")
 
 
-def _blocks(template: str, rows):
-    """Format each row with one %-template; yield ROWS_PER_BLOCK rows a piece."""
-    rows = iter(rows)
-    while block := [template % row for row in itertools.islice(rows, ROWS_PER_BLOCK)]:
-        yield "".join(block)
-
-
 def _write(pieces, args: argparse.Namespace) -> None:
     """Write the text pieces in order to --out or stdout; the report is never joined whole.
 
-    An --out that cannot be opened (a directory, a missing parent) is an input error.
+    An --out that cannot be opened (a directory, a missing parent), written or
+    closed (a full disk) is an input error, and so is a stdout that cannot be
+    written; the bytes written before stay.  A stdout whose reader has gone
+    raises BrokenPipeError, which main turns into a silent exit 1.
     """
     if args.out:
+        verb = "open"
         try:
             handle = open(args.out, "w", newline="")
+            verb = "write"
+            with handle:
+                handle.writelines(pieces)
         except OSError as exc:
-            raise InvalidInputError(f"cannot open --out {args.out!r}: {exc.strerror or exc}") from exc
-        with handle:
-            handle.writelines(pieces)
-    else:
+            raise InvalidInputError(f"cannot {verb} --out {args.out!r}: {exc.strerror or exc}") from exc
+        return
+    try:
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except OSError as exc:
+        # stdout still buffers what it could not write: point it at devnull, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise InvalidInputError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
 def _fields(report, names: str) -> dict:
@@ -219,14 +226,16 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scan_rows(taus: np.ndarray, mus: np.ndarray, nus: np.ndarray):
-    """(tau, p_corner, p_antipode, leakage) per grid point, converted a block at a time."""
+def _scan_blocks(taus: np.ndarray, mus: np.ndarray, nus: np.ndarray):
+    """SCAN_CSV_ROW of (tau, p_corner, p_antipode, leakage) per grid point, ROWS_PER_BLOCK rows a piece."""
     for lo in range(0, len(taus), ROWS_PER_BLOCK):
         part = slice(lo, lo + ROWS_PER_BLOCK)
+        rows = []
         for tau, mu, nu in zip(taus[part].tolist(), mus[part].tolist(), nus[part].tolist()):
             p_corner = abs(mu) ** 2
             p_anti = abs(nu) ** 2
-            yield tau, p_corner, p_anti, 1.0 - p_corner - p_anti
+            rows.append(SCAN_CSV_ROW % (tau, p_corner, p_anti, 1.0 - p_corner - p_anti))
+        yield "".join(rows)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -241,17 +250,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
     mus, nus = walk.antipodal_scan(spec, taus)
     # |mu|, |nu| <= 1, so finite amplitudes give finite probabilities and leakage
     _require_finite(taus, mus, nus)
-    header = ["tau,p_corner,p_antipode,leakage\n"]
-    _write(itertools.chain(header, _blocks(SCAN_CSV_ROW, _scan_rows(taus, mus, nus))), args)
+    _write(itertools.chain(["tau,p_corner,p_antipode,leakage\n"], _scan_blocks(taus, mus, nus)), args)
     return 0
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
     if args.random_trials < 0:
         raise InvalidInputError(f"random trials must be non-negative, got {args.random_trials}")
+    if args.seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {args.seed}")
     table = quotient.quotient_matrix_elements(args.N)
-    shifted = quotient.verify_shifted_diagonal(args.N)
-    ok = table.passed and shifted.passed
+    ok = table.passed and table.shifted.passed
 
     equivalence_obj = None
     if args.tau is not None:
@@ -288,7 +297,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         "elements": _fields(table, "a1_upper a2_upper a2_diag"),
         "max_closed_form_deviation": table.max_closed_form_deviation,
         "exact_closed_forms": table.exact_closed_forms,
-        "shifted_diagonal": _fields(shifted, "exact max_deviation"),
+        "shifted_diagonal": _fields(table.shifted, "exact max_deviation"),
         "equivalence": equivalence_obj,
         "random_equivalence": random_obj,
     }
@@ -401,6 +410,8 @@ def main(argv=None) -> int:
     except (InvalidInputError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        return 1  # the reader of stdout has gone, so there is no one to tell
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exception types and the one home of each input rule: model, 2^M size, state norm, phases."""
+"""Exception types and the one home of each input rule: model, 2^M size, state length and norm, phases."""
 
 import math
 import os
@@ -38,6 +38,12 @@ def check_size(M: int) -> None:
         raise ResourceLimitError(
             f"M = {M} exceeds the guard ({limit}); set REVIVAL_MAX_M to override"
         )
+
+
+def require_length(psi: np.ndarray, length: int) -> None:
+    """Refuse a state that is not a vector of the given length: every graph, column and chain state."""
+    if psi.shape != (length,):
+        raise InvalidInputError(f"state must have length {length}, got shape {psi.shape}")
 
 
 def require_unit_norm(psi: np.ndarray) -> None:

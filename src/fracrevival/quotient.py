@@ -20,7 +20,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import scheme, walk
-from .errors import InvalidInputError, ResourceLimitError, require_model
+from .errors import InvalidInputError, ResourceLimitError, require_length, require_model
 
 # Explicit two-index summation over all vertex pairs stops here.
 ENUMERATION_MAX_N = 14
@@ -80,11 +80,7 @@ def project(basis: ColumnBasis, psi: np.ndarray) -> ColumnState:
     is ||psi||^2 - sum |c_n|^2.
     """
     psi = np.asarray(psi)
-    size = 1 << basis.M
-    if psi.shape != (size,):
-        raise InvalidInputError(
-            f"amplitude vector must have length 2^{basis.M} = {size}, got shape {psi.shape}"
-        )
+    require_length(psi, 1 << basis.M)
     weights = scheme.hamming_weights(basis.M)
     psi = psi.astype(complex)
     sums = (
@@ -99,8 +95,7 @@ def project(basis: ColumnBasis, psi: np.ndarray) -> ColumnState:
 def lift(basis: ColumnBasis, coords: np.ndarray) -> np.ndarray:
     """Expand column coordinates back to a full amplitude vector."""
     coords = np.asarray(coords, dtype=complex)
-    if coords.shape != (basis.N,):
-        raise InvalidInputError(f"need {basis.N} coordinates, got shape {coords.shape}")
+    require_length(coords, basis.N)
     weights = scheme.hamming_weights(basis.M).astype(np.int64)
     return (coords / np.sqrt(basis.sizes))[weights]
 
@@ -118,6 +113,19 @@ def _pair_counts(M: int, distance: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class ShiftedDiagonalReport:
+    """Check of <col n|A_2/2 + (N-1)/4|col n> = J_n^2 + J_{n-1}^2, per column."""
+
+    N: int
+    exact: bool
+    max_deviation: float
+
+    @property
+    def passed(self) -> bool:
+        return self.exact and self.max_deviation < 1e-12
+
+
+@dataclass(frozen=True)
 class QuotientTable:
     """Column-basis matrix elements of A_1 and A_2, from explicit summation."""
 
@@ -128,6 +136,7 @@ class QuotientTable:
     a2_diag: np.ndarray    # <col n|A_2|col n>,  n = 1..N
     max_closed_form_deviation: float
     exact_closed_forms: bool
+    shifted: ShiftedDiagonalReport  # the on-site check, from the same distance-2 counts
 
     @property
     def distance4_same_column(self) -> np.ndarray:
@@ -158,7 +167,8 @@ def quotient_matrix_elements(N: int) -> QuotientTable:
     involved): <col n+1|A_1|col n>^2 = n(N-n), 4<col n+/-2|A_2|col n>^2 =
     n(n+1)(N-n)(N-n-1), <col n|A_2|col n> = (n-1)(N-n).  Vertex pairs inside a
     column at distance 4 never contribute to A_2; the table counts them only
-    when distance4_same_column is read.
+    when distance4_same_column is read.  The same distance-2 counts give the
+    exact rational check of the shifted diagonal, table.shifted.
     """
     _check_enumeration(N)
     M = N - 1
@@ -189,8 +199,14 @@ def quotient_matrix_elements(N: int) -> QuotientTable:
         exact &= 4 * c * c == n * (n + 1) * (N - n) * (N - n - 1) * int(k[n - 1]) * int(k[n + 1])
     for n in range(3, N + 1):
         exact &= int(counts2[n - 1, n - 3]) == int(counts2[n - 3, n - 1])
+    shifted_exact = True
+    shifted_dev = 0.0
     for n in range(1, N + 1):
         exact &= int(counts2[n - 1, n - 1]) == int(k[n - 1]) * (n - 1) * (N - n)
+        lhs = Fraction(int(counts2[n - 1, n - 1]), int(k[n - 1])) / 2 + Fraction(N - 1, 4)
+        rhs = Fraction(n * (N - n) + (n - 1) * (N - n + 1), 4)  # J_n^2 + J_{n-1}^2
+        shifted_exact &= lhs == rhs
+        shifted_dev = max(shifted_dev, abs(float(lhs) - float(rhs)))
 
     nvals = np.arange(1, N, dtype=float)
     dev = np.abs(a1_upper - np.sqrt(nvals * (N - nvals))).max()
@@ -211,36 +227,13 @@ def quotient_matrix_elements(N: int) -> QuotientTable:
         a2_diag=a2_diag,
         max_closed_form_deviation=float(dev),
         exact_closed_forms=bool(exact),
+        shifted=ShiftedDiagonalReport(N=N, exact=bool(shifted_exact), max_deviation=shifted_dev),
     )
-
-
-@dataclass(frozen=True)
-class ShiftedDiagonalReport:
-    """Check of <col n|A_2/2 + (N-1)/4|col n> = J_n^2 + J_{n-1}^2, per column."""
-
-    N: int
-    exact: bool
-    max_deviation: float
-
-    @property
-    def passed(self) -> bool:
-        return self.exact and self.max_deviation < 1e-12
 
 
 def verify_shifted_diagonal(N: int) -> ShiftedDiagonalReport:
     """Exact rational check that the shifted A_2 diagonal equals the on-site couplings."""
-    _check_enumeration(N)
-    M = N - 1
-    counts2 = _pair_counts(M, 2) if M >= 2 else np.zeros((M + 1, M + 1), dtype=np.int64)
-    k = ColumnBasis(N).sizes
-    exact = True
-    dev = 0.0
-    for n in range(1, N + 1):
-        lhs = Fraction(int(counts2[n - 1, n - 1]), int(k[n - 1])) / 2 + Fraction(N - 1, 4)
-        rhs = Fraction(n * (N - n) + (n - 1) * (N - n + 1), 4)  # J_n^2 + J_{n-1}^2
-        exact &= lhs == rhs
-        dev = max(dev, abs(float(lhs) - float(rhs)))
-    return ShiftedDiagonalReport(N=N, exact=bool(exact), max_deviation=dev)
+    return quotient_matrix_elements(N).shifted
 
 
 @dataclass(frozen=True)

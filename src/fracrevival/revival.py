@@ -214,12 +214,7 @@ class CertifyReport:
 
 
 def certify_numeric(
-    N: int,
-    alpha: float,
-    beta: float,
-    p: int | None = None,
-    q: int | None = None,
-    scan_steps: int = DEFAULT_SCAN_STEPS,
+    N: int, alpha: float, beta: float, p: int | None = None, q: int | None = None
 ) -> CertifyReport:
     """Run the evolution the certificate promises and measure the outcome.
 
@@ -227,10 +222,10 @@ def certify_numeric(
     1e-9 with leakage below 1e-9 and nu pure imaginary once the global phase
     makes mu real; PST at 2 tau_FR and the appendix_phase_check identity
     (report.appendix) are checked as well.  PST_only: probability one at the
-    antipode at tau_PST.  none: a grid scan over one period must find no
-    balanced revival.  At M <= walk.ORACLE_MAX_M every kind also needs the
-    FWHT evolution to match the closed-form amplitudes within 1e-9
-    (checks["engine_dev"]).  The certificate is derived once.
+    antipode at tau_PST.  none: a scan of DEFAULT_SCAN_STEPS points over one
+    period must find no balanced revival.  At M <= walk.ORACLE_MAX_M every
+    kind also needs the FWHT evolution to match the closed-form amplitudes
+    within 1e-9 (checks["engine_dev"]).  The certificate is derived once.
     """
     cert = check_conditions(N, alpha, beta, p=p, q=q)
     spec = walk.WalkSpec(M=N - 1, alpha=alpha, beta=beta)
@@ -264,7 +259,7 @@ def certify_numeric(
         passed = checks["nu_abs"] > 1.0 - PROB_TOL
     else:
         # kind == NONE: refute by sweeping one period of the spectrum
-        outcome = scan_balanced_fr(spec, _scan_window(cert), steps=scan_steps)
+        outcome = scan_balanced_fr(spec, _scan_window(cert))
         tau = (_fr_time(cert.alpha, cert.beta, cert.q) if cert.beta == 0.0 or cert.q
                else outcome.tau_at_max_sum)
         amp = walk.antipodal_amplitudes(spec, tau)

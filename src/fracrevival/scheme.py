@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ResourceLimitError, check_size
+from .errors import InvalidInputError, ResourceLimitError, check_size, require_length
 
 # Dense 2^M x 2^M verification is refused above this M (memory scales as 4^M).
 DENSE_MAX_M = 12
@@ -82,10 +82,7 @@ def apply_adjacency(op: SchemeOperator, psi: np.ndarray) -> np.ndarray:
     """
     psi = np.asarray(psi)
     size = 1 << op.M
-    if psi.shape != (size,):
-        raise InvalidInputError(
-            f"amplitude vector must have length 2^{op.M} = {size}, got shape {psi.shape}"
-        )
+    require_length(psi, size)
     if op.distance_class == 0:
         return psi.copy()
     idx = np.arange(size)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kraw, scheme
-from .errors import InvalidInputError, ResourceLimitError, check_size, eigenphases, require_model, require_unit_norm
+from .errors import InvalidInputError, ResourceLimitError, check_size, eigenphases, require_length, require_model, require_unit_norm
 
 ORACLE_MAX_M = 10
 
@@ -119,10 +119,7 @@ def evolve_graph(spec: WalkSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
     """
     check_size(spec.M)
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (spec.size,):
-        raise InvalidInputError(
-            f"state must have length 2^{spec.M} = {spec.size}, got shape {psi0.shape}"
-        )
+    require_length(psi0, spec.size)
     phases = phase_table(spec, tau)
     require_unit_norm(psi0)
     transformed = fwht(psi0)
@@ -147,10 +144,7 @@ def dense_oracle_evolve(spec: WalkSpec, psi0: np.ndarray, tau: float) -> np.ndar
     never on the production path.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (spec.size,):
-        raise InvalidInputError(
-            f"state must have length 2^{spec.M} = {spec.size}, got shape {psi0.shape}"
-        )
+    require_length(psi0, spec.size)
     h = dense_hamiltonian(spec)
     w, v = np.linalg.eigh(h)
     return v @ (np.exp(-1j * tau * w) * (v.T @ psi0))

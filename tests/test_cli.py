@@ -3,9 +3,13 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +366,22 @@ def test_quotient_command(capsys):
     assert payload["equivalence"] is None
 
 
+@pytest.mark.parametrize("extra", [[], ["--alpha", "1", "--beta", "2", "--tau", "1.234"],
+                                   ["--random-trials", "2"]])
+def test_quotient_enumerates_distance_two_once(capsys, monkeypatch, extra):
+    calls = []
+    pair_counts = quotient._pair_counts
+
+    def counted(M, distance):
+        calls.append((M, distance))
+        return pair_counts(M, distance)
+
+    monkeypatch.setattr(quotient, "_pair_counts", counted)
+    code, _, _ = run(capsys, ["quotient", "--N", "7"] + extra)
+    assert code == 0
+    assert calls.count((6, 2)) == 1
+
+
 def test_quotient_with_equivalence_and_random_trials(capsys):
     code, out, _ = run(
         capsys,
@@ -401,6 +421,11 @@ def test_quotient_rejects_negative_random_trials(capsys):
     assert code == 1
     assert out == ""
     assert "random trials must be non-negative" in err
+
+
+def test_quotient_rejects_a_negative_seed(capsys):
+    code, out, err = run(capsys, ["quotient", "--N", "5", "--random-trials", "1", "--seed", "-1"])
+    assert (code, out, err) == (1, "", "error: seed must be non-negative, got -1\n")
 
 
 def test_quotient_symbolic_tau(capsys):
@@ -512,6 +537,39 @@ def test_out_that_cannot_be_opened_exits_one_in_one_line(tmp_path, capsys, argv,
     code, out, err = run_without_warnings(capsys, argv + ["--out", out_path])
     assert (code, out) == (1, "")
     assert err == f"error: cannot open --out {out_path!r}: {reason}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_out_that_cannot_be_written_exits_one_in_one_line(capsys, argv):
+    code, out, err = run_without_warnings(capsys, argv + ["--out", "/dev/full"])
+    assert (code, out) == (1, "")
+    assert err == "error: cannot write --out '/dev/full': No space left on device\n"
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def start_cli(argv, stdout=subprocess.PIPE):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.Popen([sys.executable, "-m", "fracrevival.cli"] + argv, env=env,
+                            stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+def test_a_closed_stdout_exits_one_without_a_traceback():
+    proc = start_cli(["scan", "--N", "4", "--alpha", "1", "--beta", "1", "--steps", "50000"])
+    assert proc.stdout.readline() == "tau,p_corner,p_antipode,leakage\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_a_full_stdout_exits_one_in_one_line():
+    with open("/dev/full", "w") as full:
+        proc = start_cli(["verify", "--N", "4", "--alpha", "2", "--beta", "2"], stdout=full)
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (1, "error: cannot write stdout: No space left on device\n")
 
 
 FLOAT_OPTIONS = {

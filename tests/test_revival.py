@@ -163,7 +163,7 @@ def test_certificate_numeric_agreement_sweep(N):
     # parity rules predict a revival, with no false positives or negatives
     for p in range(1, 6):
         for q in range(1, 6):
-            rep = revival.certify_numeric(N, float(p), float(q), scan_steps=2000)
+            rep = revival.certify_numeric(N, float(p), float(q))
             assert rep.passed, (N, p, q, rep.certificate.kind)
 
 
@@ -171,7 +171,7 @@ def test_two_site_chain_breaks_necessity():
     # On two sites the NNN term is alpha/4 times the identity, so balanced
     # revival happens at pi/(2|beta|) for every ratio; the parity rule is
     # sufficient but not necessary here, and the scan documents the exception.
-    rep = revival.certify_numeric(2, 1.0, 2.0, scan_steps=2000)
+    rep = revival.certify_numeric(2, 1.0, 2.0)
     assert rep.certificate.kind == revival.NONE
     assert not rep.passed
     assert rep.scan.balanced_found
@@ -236,7 +236,7 @@ def test_certify_carries_the_appendix_of_its_certificate(N, alpha, beta):
 
 @pytest.mark.parametrize("N, alpha, beta", [(4, 2.0, 1.0), (5, 2.0, 2.0), (4, 1.0, 0.0)])
 def test_certify_has_no_appendix_without_balanced_fr(N, alpha, beta):
-    rep = revival.certify_numeric(N, alpha, beta, scan_steps=2000)
+    rep = revival.certify_numeric(N, alpha, beta)
     assert rep.certificate.kind in (revival.PST_ONLY, revival.NONE)
     assert rep.appendix is None
 
@@ -415,7 +415,7 @@ def test_scan_grid_is_bounded():
     (walk.ORACLE_MAX_M + 2, 2.0, 1.0),
 ])
 def test_engine_cross_check_runs_exactly_at_oracle_scale(N, alpha, beta):
-    rep = revival.certify_numeric(N, alpha, beta, scan_steps=2000)
+    rep = revival.certify_numeric(N, alpha, beta)
     assert ("engine_dev" in rep.checks) == (N - 1 <= walk.ORACLE_MAX_M)
     assert rep.checks.get("engine_dev", 0.0) < 1e-12
     assert rep.passed
