@@ -9,8 +9,12 @@ revival or perfect state transfer between antipodes.
 
 from .chain import ChainOperator, ChainSpec, build_hamiltonian, chain_evolve, couplings, site_state
 from .errors import InvalidInputError, ResourceLimitError
-from .kraw import graph_eigenvalue, graph_eigenvalues, krawtchouk, krawtchouk_hypergeometric, spectrum_table
-from .quotient import ColumnBasis, ColumnState, equivalence_check, lift, project, quotient_matrix_elements, verify_shifted_diagonal
+from .kraw import graph_eigenvalues
+from .oracle import (
+    SchemeOperator, apply_adjacency, dense_oracle_evolve, graph_eigenvalue, hamming_distance, intersection_number,
+    krawtchouk, krawtchouk_hypergeometric, lift, remove_global_phase, spectrum_table, verify_bose_mesner_row,
+)
+from .quotient import ColumnBasis, ColumnState, equivalence_check, project, quotient_matrix_elements, verify_shifted_diagonal
 from .revival import (
     BALANCED_FR,
     NONE,
@@ -21,23 +25,14 @@ from .revival import (
     check_conditions,
     scan_balanced_fr,
 )
-from .scheme import (
-    SchemeOperator,
-    apply_adjacency,
-    hamming_distance,
-    intersection_number,
-    verify_bose_mesner_row,
-)
 from .walk import (
     WalkSpec,
     antipodal_amplitudes,
     antipodal_scan,
     basis_state,
     corner_state,
-    dense_oracle_evolve,
     evolve_graph,
     fwht,
-    remove_global_phase,
 )
 
 __version__ = "0.1.0"

@@ -73,18 +73,11 @@ class ChainOperator:
         return h
 
 
-def hopping_matrix(N: int) -> np.ndarray:
-    """Dense tridiagonal J with J|n> = J_n|n+1> + J_{n-1}|n-1>."""
-    n = np.arange(1, N)
-    J = 0.5 * np.sqrt(n * (N - n))
-    return np.diag(J, 1) + np.diag(J, -1)
-
-
 def build_hamiltonian(spec: ChainSpec) -> ChainOperator:
     """Assemble the pentadiagonal operator, which equals alpha*J^2 + beta*J.
 
     The factorization is an exact identity (in floats, up to a few ulp of the
-    largest entry); the tests check it against hopping_matrix.
+    largest entry); the tests check it against oracle.hopping_matrix.
     """
     c = couplings(spec)
     return ChainOperator(diag=c.B, offdiag1=c.J1, offdiag2=c.J2)

@@ -9,6 +9,7 @@ verification mismatch (certificate and numerics disagree).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import itertools
 import json
@@ -90,9 +91,10 @@ def _write(pieces, args: argparse.Namespace) -> None:
     """Write the text pieces in order to --out or stdout; the report is never joined whole.
 
     An --out that cannot be opened (a directory, a missing parent), written or
-    closed (a full disk) is an input error, and so is a stdout that cannot be
-    written; the bytes written before stay.  A stdout whose reader has gone
-    raises BrokenPipeError, which main turns into a silent exit 1.
+    closed (a full disk) is an input error, and so is a stdout that is closed
+    or cannot be written; the bytes written before stay.  A stdout whose
+    reader has gone raises BrokenPipeError, which main turns into a silent
+    exit 1.
     """
     if args.out:
         verb = "open"
@@ -104,12 +106,16 @@ def _write(pieces, args: argparse.Namespace) -> None:
         except OSError as exc:
             raise InvalidInputError(f"cannot {verb} --out {args.out!r}: {exc.strerror or exc}") from exc
         return
+    if sys.stdout is None:  # Python starts without one when descriptor 1 is closed
+        raise InvalidInputError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
     try:
         sys.stdout.writelines(pieces)
         sys.stdout.flush()
     except OSError as exc:
         # stdout still buffers what it could not write: point it at devnull, so the flush at exit cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             raise
         raise InvalidInputError(f"cannot write stdout: {exc.strerror or exc}") from exc

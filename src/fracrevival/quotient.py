@@ -92,14 +92,6 @@ def project(basis: ColumnBasis, psi: np.ndarray) -> ColumnState:
     return ColumnState(coords=coords, leakage=leakage)
 
 
-def lift(basis: ColumnBasis, coords: np.ndarray) -> np.ndarray:
-    """Expand column coordinates back to a full amplitude vector."""
-    coords = np.asarray(coords, dtype=complex)
-    require_length(coords, basis.N)
-    weights = scheme.hamming_weights(basis.M).astype(np.int64)
-    return (coords / np.sqrt(basis.sizes))[weights]
-
-
 def _pair_counts(M: int, distance: int) -> np.ndarray:
     """counts[a, b] = ordered vertex pairs (y, x) with |y| = a, |x| = b, d(x, y) = distance."""
     weights = scheme.hamming_weights(M).astype(np.int64)

@@ -14,8 +14,7 @@ the two amplitudes a verdict needs, at the start corner and at the antipode,
 come from a closed form in O(M) per time (antipodal_scan, and
 antipodal_amplitudes as its one-point case), with no 2^M state.  The full
 evolution serves the evolve reports and, at oracle scale, the cross-check of
-that closed form.  A dense eigendecomposition path exists purely as a test
-oracle for small M.
+that closed form.
 """
 
 from __future__ import annotations
@@ -137,19 +136,6 @@ def dense_hamiltonian(spec: WalkSpec) -> np.ndarray:
     return h
 
 
-def dense_oracle_evolve(spec: WalkSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
-    """Independent verification path: numeric eigendecomposition of the dense H.
-
-    Only used to cross-check evolve_graph and the antipodal matrix identity;
-    never on the production path.
-    """
-    psi0 = np.asarray(psi0, dtype=complex)
-    require_length(psi0, spec.size)
-    h = dense_hamiltonian(spec)
-    w, v = np.linalg.eigh(h)
-    return v @ (np.exp(-1j * tau * w) * (v.T @ psi0))
-
-
 class AntipodalAmplitudes(NamedTuple):
     mu: complex      # amplitude left at the start corner
     nu: complex      # amplitude at the all-ones antipode
@@ -184,17 +170,3 @@ def antipodal_scan(spec: WalkSpec, taus: np.ndarray):
     phases = phase_table(spec, np.atleast_1d(taus))
     weights = np.array([comb(spec.M, s) / 2 ** spec.M for s in range(spec.M + 1)])
     return phases @ weights, phases @ (weights * (-1.0) ** np.arange(spec.M + 1))
-
-
-def remove_global_phase(psi: np.ndarray) -> np.ndarray:
-    """Rotate so the largest-magnitude component is real and positive.
-
-    States that differ by a global phase compare equal after this; ties on
-    magnitude resolve to the lowest index.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    k = int(np.argmax(np.abs(psi)))
-    mag = abs(psi[k])
-    if mag == 0.0:
-        return psi.copy()
-    return psi * (psi[k].conjugate() / mag)

@@ -8,7 +8,7 @@ from math import pi
 
 import numpy as np
 
-from fracrevival import kraw, quotient, revival, scheme, walk
+from fracrevival import oracle, quotient, revival, walk
 
 
 def report(number: int, ok: bool, text: str) -> None:
@@ -131,16 +131,16 @@ def test_criterion_8_algebraic_suite():
     ok = True
     for M in range(1, 11):
         for i in range(M + 1):
-            ok = ok and scheme.verify_bose_mesner_row(i, M).max_deviation == 0
+            ok = ok and oracle.verify_bose_mesner_row(i, M).max_deviation == 0
     for M in range(2, 11):
-        one = scheme.verify_bose_mesner_row(1, M)  # A_1^2 = 2 A_2 + M A_0
+        one = oracle.verify_bose_mesner_row(1, M)  # A_1^2 = 2 A_2 + M A_0
         ok = ok and (one.c_next, one.b_prev) == (2, M) and one.max_deviation == 0
     for M in range(1, 13):
         for s in range(M + 1):
-            ok = ok and kraw.krawtchouk(M, s, M) == (-1) ** s
+            ok = ok and oracle.krawtchouk(M, s, M) == (-1) ** s
         for n in range(M + 1):
             for x in range(M + 1):
-                ok = ok and kraw.krawtchouk(n, x, M) == kraw.krawtchouk_hypergeometric(n, x, M)
+                ok = ok and oracle.krawtchouk(n, x, M) == oracle.krawtchouk_hypergeometric(n, x, M)
     report(8, ok, "Bose-Mesner rows and A_1^2 = 2A_2 + M exact (M <= 10); endpoint and recurrence/2F1 exact (M <= 12)")
 
 
@@ -155,7 +155,7 @@ def test_criterion_9_engine_correctness_and_speed():
         psi = rng.normal(size=1 << M) + 1j * rng.normal(size=1 << M)
         psi /= np.linalg.norm(psi)
         fast = walk.evolve_graph(spec, psi, tau)
-        slow = walk.dense_oracle_evolve(spec, psi, tau)
+        slow = oracle.dense_oracle_evolve(spec, psi, tau)
         worst = max(worst, float(np.abs(fast - slow).max()))
         ok = ok and abs(np.linalg.norm(fast) - 1.0) < 1e-12
     ok = ok and worst < 1e-11

@@ -5,7 +5,7 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from fracrevival import chain
+from fracrevival import chain, oracle
 from fracrevival.errors import InvalidInputError
 
 
@@ -60,14 +60,14 @@ def test_hamiltonian_factorizes_through_hopping_matrix():
     for N in (2, 3, 5, 9, 15):
         alpha, beta = rng.uniform(-3, 3, size=2)
         op = chain.build_hamiltonian(chain.ChainSpec(N=N, alpha=float(alpha), beta=float(beta)))
-        J = chain.hopping_matrix(N)
+        J = oracle.hopping_matrix(N)
         np.testing.assert_array_equal(op.to_dense(), op.to_dense().T)
         assert np.abs(op.to_dense() - (alpha * J @ J + beta * J)).max() < 1e-14
     # at N = 40 entries reach ~300, where one ulp exceeds 1e-14, so the bound
     # is 1e-14 relative to the largest entry
     alpha, beta = rng.uniform(-3, 3, size=2)
     op = chain.build_hamiltonian(chain.ChainSpec(N=40, alpha=float(alpha), beta=float(beta)))
-    J = chain.hopping_matrix(40)
+    J = oracle.hopping_matrix(40)
     reference = alpha * J @ J + beta * J
     np.testing.assert_array_equal(op.to_dense(), op.to_dense().T)
     assert np.abs(op.to_dense() - reference).max() < 1e-14 * np.abs(reference).max()

@@ -561,6 +561,7 @@ def test_a_closed_stdout_exits_one_without_a_traceback():
     assert proc.stdout.readline() == "tau,p_corner,p_antipode,leakage\n"
     proc.stdout.close()
     err = proc.stderr.read()
+    proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (1, "")
 
 
@@ -569,7 +570,34 @@ def test_a_full_stdout_exits_one_in_one_line():
     with open("/dev/full", "w") as full:
         proc = start_cli(["verify", "--N", "4", "--alpha", "2", "--beta", "2"], stdout=full)
         err = proc.stderr.read()
+        proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (1, "error: cannot write stdout: No space left on device\n")
+
+
+def test_a_stdout_closed_at_start_exits_one_in_one_line(tmp_path):
+    # the shell starts the child with descriptor 1 closed, so Python gives it sys.stdout = None
+    verify = ["verify", "--N", "4", "--alpha", "2", "--beta", "2"]
+    child = ["sh", "-c", 'exec "$@" 1>&-', "sh", sys.executable, "-m", "fracrevival.cli"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    closed = subprocess.run(child + verify, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (closed.returncode, closed.stderr) == (1, "error: cannot write stdout: Bad file descriptor\n")
+    out = tmp_path / "verify.json"
+    to_file = subprocess.run(child + verify + ["--out", str(out)], env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (to_file.returncode, to_file.stderr) == (0, "")
+    assert out.read_text() == run_quietly(verify)[1]
+
+
+@pytest.mark.skipif(not (os.path.exists("/dev/full") and os.path.isdir("/proc/self/fd")),
+                    reason="needs the /dev/full device and /proc/self/fd")
+def test_a_failed_stdout_write_leaves_no_descriptor_open(capsys):
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        with open("/dev/full", "w") as full, contextlib.redirect_stdout(full):
+            assert cli.main(["verify", "--N", "4", "--alpha", "2", "--beta", "2"]) == 1
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n" * 5
 
 
 FLOAT_OPTIONS = {

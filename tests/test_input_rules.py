@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracrevival import chain, quotient, scheme, walk
+from fracrevival import chain, oracle, quotient, walk
 from fracrevival.errors import InvalidInputError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fracrevival"
@@ -43,12 +43,13 @@ def test_only_errors_decides_the_model_and_reads_the_guard(path):
 
 
 WALK = walk.WalkSpec(M=3, alpha=1.0, beta=1.0)
+# The keys are the test ids, so the three oracle functions keep the ids of their first homes.
 WRONG_LENGTH = {
     "walk.evolve_graph": (8, lambda psi: walk.evolve_graph(WALK, psi, 1.0)),
-    "walk.dense_oracle_evolve": (8, lambda psi: walk.dense_oracle_evolve(WALK, psi, 1.0)),
-    "scheme.apply_adjacency": (8, lambda psi: scheme.apply_adjacency(scheme.SchemeOperator(3, 1), psi)),
+    "walk.dense_oracle_evolve": (8, lambda psi: oracle.dense_oracle_evolve(WALK, psi, 1.0)),
+    "scheme.apply_adjacency": (8, lambda psi: oracle.apply_adjacency(oracle.SchemeOperator(3, 1), psi)),
     "quotient.project": (8, lambda psi: quotient.project(quotient.ColumnBasis(4), psi)),
-    "quotient.lift": (4, lambda coords: quotient.lift(quotient.ColumnBasis(4), coords)),
+    "quotient.lift": (4, lambda coords: oracle.lift(quotient.ColumnBasis(4), coords)),
     "chain.chain_evolve": (4, lambda psi: chain.chain_evolve(chain.ChainSpec(4, 1.0, 1.0), psi, 1.0)),
 }
 

@@ -5,7 +5,7 @@ from math import pi, sqrt
 import numpy as np
 import pytest
 
-from fracrevival import chain, quotient, walk
+from fracrevival import chain, oracle, quotient, walk
 from fracrevival.errors import InvalidInputError, ResourceLimitError
 
 
@@ -52,7 +52,7 @@ def test_lift_then_project_roundtrip():
     rng = np.random.default_rng(21)
     basis = quotient.ColumnBasis(7)
     coords = rng.normal(size=7) + 1j * rng.normal(size=7)
-    state = quotient.project(basis, quotient.lift(basis, coords))
+    state = quotient.project(basis, oracle.lift(basis, coords))
     np.testing.assert_allclose(state.coords, coords, atol=1e-13)
     assert abs(state.leakage) < 1e-12
 
@@ -93,7 +93,7 @@ def test_quotient_guard():
 
 
 @pytest.mark.parametrize("build", [
-    lambda basis: quotient.lift(basis, np.eye(basis.N)[0]),
+    lambda basis: oracle.lift(basis, np.eye(basis.N)[0]),
     lambda basis: quotient.project(basis, np.full(1 << basis.M, 2.0 ** (-basis.M / 2))),
     lambda basis: basis.members(1),
     lambda basis: basis.column_vector(1),
@@ -131,16 +131,14 @@ def test_quotient_matrices_satisfy_square_relation():
 
 def test_projection_intertwines_adjacency_action():
     # for psi inside the column space, project(A_i psi) = Q_i project(psi)
-    from fracrevival import scheme
-
     rng = np.random.default_rng(22)
     N = 7
     basis = quotient.ColumnBasis(N)
     table = quotient.quotient_matrix_elements(N)
     coords = rng.normal(size=N) + 1j * rng.normal(size=N)
-    psi = quotient.lift(basis, coords)
+    psi = oracle.lift(basis, coords)
     for i, q in ((1, table.q1()), (2, table.q2())):
-        applied = scheme.apply_adjacency(scheme.SchemeOperator(N - 1, i), psi)
+        applied = oracle.apply_adjacency(oracle.SchemeOperator(N - 1, i), psi)
         state = quotient.project(basis, applied)
         np.testing.assert_allclose(state.coords, q @ coords, atol=1e-12)
 

@@ -212,9 +212,9 @@ def test_appendix_anchor_fixes_phase():
     # the s = 0 eigenphase alone determines phi': e^{-i tau E_0} = e^{-i phi'}(1 + i eps)/sqrt(2)
     report = revival.appendix_phase_check(6, 1.0, 1.0)
     spec = walk.WalkSpec(5, 1.0, 1.0)
-    from fracrevival import kraw
+    from fracrevival import oracle
 
-    u0 = np.exp(-1j * report.tau * kraw.graph_eigenvalue(0, spec))
+    u0 = np.exp(-1j * report.tau * oracle.graph_eigenvalue(0, spec))
     reconstructed = np.exp(-1j * report.phi_prime) * (1 + 1j * report.sign) / np.sqrt(2)
     assert abs(u0 - reconstructed) < 1e-12
 

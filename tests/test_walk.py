@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracrevival import walk
+from fracrevival import oracle, walk
 from fracrevival.errors import InvalidInputError, ResourceLimitError
 
 
@@ -106,7 +106,7 @@ def test_evolve_matches_dense_oracle():
         tau = float(rng.uniform(-4, 4))
         psi = random_state(rng, 1 << M)
         fast = walk.evolve_graph(spec, psi, tau)
-        slow = walk.dense_oracle_evolve(spec, psi, tau)
+        slow = oracle.dense_oracle_evolve(spec, psi, tau)
         assert np.abs(fast - slow).max() < 1e-11
 
 
@@ -136,10 +136,8 @@ def test_evolve_alpha_zero_reduces_to_hypercube_walk():
     M, beta, tau = 5, 1.6, 2.2
     psi = random_state(rng, 32)
     reduced = walk.evolve_graph(walk.WalkSpec(M=M, alpha=0.0, beta=beta), psi, tau)
-    import fracrevival.scheme as scheme
-
     a1 = np.array(
-        [scheme.apply_adjacency(scheme.SchemeOperator(M, 1), e) for e in np.eye(32)]
+        [oracle.apply_adjacency(oracle.SchemeOperator(M, 1), e) for e in np.eye(32)]
     ).T
     w, v = np.linalg.eigh(0.5 * beta * a1)
     np.testing.assert_allclose(reduced, v @ (np.exp(-1j * tau * w) * (v.T @ psi)), atol=1e-11)
@@ -156,7 +154,7 @@ def test_evolve_rejects_unnormalized_and_wrong_length():
 def test_dense_oracle_two_level_oscillation():
     # M=1, H = A_1: exp(-i tau sigma_x) on (1,0) gives (cos tau, -i sin tau)
     spec = walk.WalkSpec(M=1, alpha=0.0, beta=2.0)
-    out = walk.dense_oracle_evolve(spec, np.array([1.0, 0.0]), pi / 2)
+    out = oracle.dense_oracle_evolve(spec, np.array([1.0, 0.0]), pi / 2)
     np.testing.assert_allclose(out, [0.0, -1j], atol=1e-14)
 
 
@@ -169,7 +167,7 @@ def test_dense_oracle_hamiltonian_is_symmetric():
 def test_dense_oracle_guard():
     spec = walk.WalkSpec(M=11, alpha=1.0, beta=1.0)
     with pytest.raises(ResourceLimitError):
-        walk.dense_oracle_evolve(spec, walk.corner_state(11), 1.0)
+        oracle.dense_oracle_evolve(spec, walk.corner_state(11), 1.0)
 
 
 def test_antipodal_amplitudes_at_zero():
@@ -271,9 +269,9 @@ def test_remove_global_phase():
     psi = random_state(rng, 16)
     rotated = psi * np.exp(1j * 0.83)
     np.testing.assert_allclose(
-        walk.remove_global_phase(psi), walk.remove_global_phase(rotated), atol=1e-13
+        oracle.remove_global_phase(psi), oracle.remove_global_phase(rotated), atol=1e-13
     )
-    fixed = walk.remove_global_phase(psi)
+    fixed = oracle.remove_global_phase(psi)
     k = np.argmax(np.abs(fixed))
     assert fixed[k].imag == pytest.approx(0.0, abs=1e-15)
     assert fixed[k].real > 0
