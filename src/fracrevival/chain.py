@@ -16,14 +16,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInputError, eigenphases, require_length, require_model, require_unit_norm
+from .errors import InvalidInputError, check_elements, eigenphases, require_length, require_model, require_unit_norm
 
 
 @dataclass(frozen=True)
 class ChainSpec:
     """Chain model parameters: N sites, NNN strength alpha, NN strength beta.
 
-    errors.require_model refuses them; chain_evolve refuses (alpha, beta) = (0, 0).
+    errors.require_model refuses them, (alpha, beta) = (0, 0) included.
     """
 
     N: int
@@ -84,7 +84,8 @@ def build_hamiltonian(spec: ChainSpec) -> ChainOperator:
 
 
 def site_state(N: int, site: int) -> np.ndarray:
-    """Unit basis vector for a single excitation at the given site (1-based)."""
+    """Unit basis vector for a single excitation at the given site (1-based), within the size guard."""
+    check_elements(N, "the chain state")
     if not 1 <= site <= N:
         raise InvalidInputError(f"site must lie in [1, {N}], got {site}")
     psi = np.zeros(N, dtype=complex)
@@ -96,11 +97,13 @@ def chain_evolve(spec: ChainSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
     """Evolve a one-excitation state: returns exp(-i tau H) psi0.
 
     The input must already be unit norm (no silent renormalization); the
-    propagator is built from the dense symmetric eigendecomposition.  The
-    eigenphase refusals come before the state and (0, 0) checks.
+    propagator is built from the dense symmetric eigendecomposition, whose
+    N x N matrix the size guard holds.  The eigenphase refusals come before
+    the norm check.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     require_length(psi0, spec.N)
+    check_elements(spec.N * spec.N, "the chain Hamiltonian")
     with np.errstate(over="ignore"):
         h = build_hamiltonian(spec).to_dense()
     # max|E| is at least the largest |entry| of a symmetric matrix, and eigh cannot take an inf
@@ -109,6 +112,4 @@ def chain_evolve(spec: ChainSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
     w, v = np.linalg.eigh(h)
     phases = eigenphases(tau, w)
     require_unit_norm(psi0)
-    if spec.alpha == 0.0 and spec.beta == 0.0:
-        raise InvalidInputError("(alpha, beta) = (0, 0) has no dynamics to evolve")
     return v @ (phases * (v.T @ psi0))

@@ -247,11 +247,8 @@ def _scan_blocks(taus: np.ndarray, mus: np.ndarray, nus: np.ndarray):
 def cmd_scan(args: argparse.Namespace) -> int:
     spec = walk.WalkSpec(M=args.N - 1, alpha=args.alpha, beta=args.beta)
     tau_max = args.tau_max
-    if tau_max is None:
-        scales = [abs(v) for v in (args.alpha, args.beta) if v != 0.0]
-        if not scales:
-            raise InvalidInputError("(alpha, beta) != (0, 0) required")
-        tau_max = 2.0 * math.pi / min(scales)
+    if tau_max is None:  # WalkSpec refused (0, 0), so a coupling is nonzero
+        tau_max = 2.0 * math.pi / min(abs(v) for v in (args.alpha, args.beta) if v != 0.0)
     taus = revival.tau_grid(args.tau_min, tau_max, args.steps)
     mus, nus = walk.antipodal_scan(spec, taus)
     # |mu|, |nu| <= 1, so finite amplitudes give finite probabilities and leakage
@@ -354,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tau=False):
+    def add_common(p):
         # argparse reads "-1e-5" as an option, not a value; this pattern, a
         # superset of argparse's own, also takes exponents as negative numbers
         p._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
@@ -364,15 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, default=None, help="exact ratio numerator (bypasses rationalization)")
         p.add_argument("--q", type=int, default=None, help="exact ratio denominator")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        if tau:
-            p.add_argument("--tau", type=_tau_arg, default=None, help="evolution time, or 'fr'/'pst'")
 
     p_verify = sub.add_parser("verify", help="certificate + numeric certification + phase identity")
     add_common(p_verify)
     p_verify.add_argument("--json", action="store_true", help="JSON output (the default)")
 
     p_evolve = sub.add_parser("evolve", help="corner-initialized evolution amplitudes")
-    add_common(p_evolve, tau=True)
+    add_common(p_evolve)
+    p_evolve.add_argument("--tau", type=_tau_arg, required=True, help="evolution time, or 'fr'/'pst'")
     p_evolve.add_argument("--target", choices=("graph", "chain", "both"), default="graph")
     p_evolve.add_argument("--json", action="store_true", help="JSON instead of CSV rows")
 
@@ -383,7 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--steps", type=int, default=DEFAULT_SCAN_GRID)
 
     p_quot = sub.add_parser("quotient", help="column-basis matrix elements and graph-chain equivalence")
-    add_common(p_quot, tau=True)
+    add_common(p_quot)
+    p_quot.add_argument("--tau", type=_tau_arg, default=None, help="evolution time, or 'fr'/'pst'")
     p_quot.add_argument("--random-trials", type=int, default=0, help="random equivalence checks")
     p_quot.add_argument("--seed", type=int, default=0)
 
@@ -407,9 +404,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    if args.command == "evolve" and args.tau is None:
-        print("error: evolve requires --tau", file=sys.stderr)
-        return 1
     try:
         _require_ratio(args)
         return _COMMANDS[args.command](args)

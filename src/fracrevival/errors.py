@@ -1,4 +1,4 @@
-"""Exception types and the one home of each input rule: model, 2^M size, state length and norm, phases."""
+"""Exception types and the one home of each input rule: model, size guard, state length and norm, phases."""
 
 import math
 import os
@@ -19,24 +19,43 @@ class ResourceLimitError(RuntimeError):
     """Request exceeds a hard size guard and was refused instead of thrashing."""
 
 
-def require_model(N: int, alpha: float = 0.0, beta: float = 0.0) -> None:
-    """The one model check: refuse N below 2, then a non-finite alpha or beta (N alone for columns)."""
+def require_model(N: int, alpha: float | None = None, beta: float | None = None) -> None:
+    """The one model check: refuse N below 2, a non-finite alpha or beta, then (0, 0) (N alone for columns)."""
     if N < 2:
         raise InvalidInputError(f"need N >= 2, got {N}")
+    if alpha is None:
+        return
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise InvalidInputError("alpha and beta must be finite")
+    if alpha == 0.0 and beta == 0.0:
+        raise InvalidInputError("(alpha, beta) != (0, 0) required")
+
+
+def _guard() -> int:
+    """The size guard: REVIVAL_MAX_M, or else DEFAULT_MAX_M."""
+    raw = os.environ.get("REVIVAL_MAX_M")
+    try:
+        return DEFAULT_MAX_M if raw is None else int(raw)
+    except ValueError as exc:
+        raise InvalidInputError(f"REVIVAL_MAX_M must be an integer, got {raw!r}") from exc
 
 
 def check_size(M: int) -> None:
-    """Refuse M above the guard, REVIVAL_MAX_M or else DEFAULT_MAX_M, before any 2^M allocation."""
-    raw = os.environ.get("REVIVAL_MAX_M")
-    try:
-        limit = DEFAULT_MAX_M if raw is None else int(raw)
-    except ValueError as exc:
-        raise InvalidInputError(f"REVIVAL_MAX_M must be an integer, got {raw!r}") from exc
+    """Refuse M above the guard before any 2^M allocation."""
+    limit = _guard()
     if M > limit:
         raise ResourceLimitError(
             f"M = {M} exceeds the guard ({limit}); set REVIVAL_MAX_M to override"
+        )
+
+
+def check_elements(count: int, what: str) -> None:
+    """Refuse an array of more than 2^guard elements, the budget check_size gives a state."""
+    limit = _guard()
+    # count > 2^limit, without forming 2^limit
+    if (count - 1).bit_length() > limit:
+        raise ResourceLimitError(
+            f"{what} needs {count} elements, above the guard (2^{limit}); set REVIVAL_MAX_M to override"
         )
 
 

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_elements
+
 
 def graph_eigenvalues(spec) -> np.ndarray:
-    """All walk eigenvalues indexed by s = 0..M as a float array."""
+    """All walk eigenvalues indexed by s = 0..M as a float array, M + 1 within the size guard."""
+    check_elements(spec.M + 1, "the spectrum")
     # lambda_s = M - 2s directly: oracle.spectrum_table stops where C(M, s) leaves int64
     lam = (spec.M - 2 * np.arange(spec.M + 1)).astype(float)
     # an overflow leaves inf or NaN, which errors.eigenphases refuses

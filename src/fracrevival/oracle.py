@@ -138,15 +138,15 @@ def intersection_table(k: int, M: int, x: int = 0, y: int | None = None) -> np.n
 
     Entry (i, j) counts the z with d(x,z) = i and d(y,z) = j, by brute force
     over all 2^M vertices, for base vertices x, y of the cube with d(x,y) = k.
-    The default base pair is x = 0 and y = the integer with the first k bits
-    set; the counts do not depend on that choice (a property the test suite
+    The default base pair is x = 0 and y = x with its first k bits flipped;
+    the counts do not depend on that choice (a property the test suite
     checks rather than assumes).
     """
     check_size(M)
     if not 0 <= k <= M:
         raise InvalidInputError(f"k must lie in [0, {M}], got {k}")
     if y is None:
-        y = (1 << k) - 1
+        y = x ^ ((1 << k) - 1)
     if not (0 <= x < 1 << M and 0 <= y < 1 << M):
         raise InvalidInputError(f"base vertices must lie in [0, 2^{M}), got x={x}, y={y}")
     if hamming_distance(x, y) != k:

@@ -99,15 +99,13 @@ def check_conditions(
 ) -> RevivalCertificate:
     """Classify (N, alpha, beta) into balanced FR / PST only / no revival.
 
-    errors.require_model refuses no model, then (0, 0) is refused.  The ratio
+    errors.require_model refuses what is no model, (0, 0) included.  The ratio
     alpha/beta is rationalized by continued fractions (tolerance 1e-9,
     denominator capped at 10^6); callers holding the exact integers may pass p
     and q to bypass the float round trip.  Explicit p and q must agree with
     alpha/beta within that tolerance, so beta = 0 refuses them.
     """
     require_model(N, alpha, beta)
-    if alpha == 0.0 and beta == 0.0:
-        raise InvalidInputError("(alpha, beta) != (0, 0) required")
 
     rp, rq = _rationalize(alpha, beta, p, q) or (None, None)
     if beta == 0.0 and N % 2 == 0:

@@ -35,7 +35,7 @@ ORACLE_MAX_M = 10
 class WalkSpec:
     """Graph model parameters: M = N-1 bits, diagonal weight alpha/2, edge weight beta/2.
 
-    errors.require_model refuses them as the model of N = M + 1 sites.
+    errors.require_model refuses them as the model of N = M + 1 sites, (0, 0) included.
     """
 
     M: int

@@ -132,9 +132,8 @@ def test_evolve_rejects_unnormalized_state():
 
 
 def test_evolve_rejects_trivial_hamiltonian():
-    spec = chain.ChainSpec(N=4, alpha=0.0, beta=0.0)
     with pytest.raises(InvalidInputError):
-        chain.chain_evolve(spec, chain.site_state(4, 1), 1.0)
+        chain.chain_evolve(chain.ChainSpec(N=4, alpha=0.0, beta=0.0), chain.site_state(4, 1), 1.0)
 
 
 def test_site_state_bounds():

@@ -155,9 +155,29 @@ def test_evolve_symbolic_tau_requires_certificate(capsys):
 
 
 def test_evolve_requires_tau(capsys):
-    code, _, err = run(capsys, ["evolve", "--N", "4", "--alpha", "2", "--beta", "2"])
-    assert code == 1
-    assert "--tau" in err
+    code, out, err = run(capsys, ["evolve", "--N", "4", "--alpha", "2", "--beta", "2"])
+    assert (code, out) == (1, "")
+    assert err.endswith("error: the following arguments are required: --tau\n")
+
+
+CHAIN_AT_TAU_1 = ["--alpha", "1", "--beta", "1", "--tau", "1", "--target", "chain"]
+
+
+@pytest.mark.parametrize("refused, limit, message, runs", [
+    (["evolve", "--N", "5"] + CHAIN_AT_TAU_1, "4", "the chain Hamiltonian needs 25 elements",
+     ["evolve", "--N", "4"] + CHAIN_AT_TAU_1),
+    (["evolve", "--N", "17"] + CHAIN_AT_TAU_1, "4", "the chain state needs 17 elements",
+     ["evolve", "--N", "4"] + CHAIN_AT_TAU_1),
+    (["appendix", "--N", "10", "--alpha", "1", "--beta", "1"], "3", "the spectrum needs 10 elements",
+     ["appendix", "--N", "10", "--alpha", "1", "--beta", "1"]),
+], ids=["chain_hamiltonian", "chain_state", "spectrum"])
+def test_chain_and_spectrum_refused_before_allocation(capsys, monkeypatch, refused, limit, message, runs):
+    monkeypatch.setenv("REVIVAL_MAX_M", limit)
+    code, out, err = run(capsys, refused)
+    assert (code, out, err) == (
+        1, "", f"error: {message}, above the guard (2^{limit}); set REVIVAL_MAX_M to override\n")
+    monkeypatch.setenv("REVIVAL_MAX_M", "4")
+    assert run(capsys, runs)[0] == 0
 
 
 def test_scan_header_and_zero_row(capsys):
@@ -301,9 +321,9 @@ def test_scan_and_library_share_tau_grid_refusals(capsys, monkeypatch, tau_max, 
     (["evolve", "--N", "4", "--alpha", "1e-310", "--beta", "1e-310", "--tau", "fr"], "tau must be finite"),
     (["scan", "--N", "4", "--alpha", "1e-310", "--beta", "1e-310"],
      "tau range [0.0, inf] must have a finite width"),
-    # the chain refuses the time before it refuses (0, 0)
+    # (0, 0) is no model, so it is refused before the time
     (["evolve", "--N", "4", "--alpha", "0", "--beta", "0", "--tau", "inf", "--target", "chain"],
-     "tau must be finite"),
+     "(alpha, beta) != (0, 0) required"),
     # the appendix phases form alpha * (N - 1), or 4 tau alpha s^2, where tau * E stays finite
     (["appendix", "--N", "3", "--alpha", "1e308", "--beta", "0"], "the winding, delta or phi phase overflows"),
     (["verify", "--N", "3", "--alpha", "1e308", "--beta", "0"], "the winding, delta or phi phase overflows"),
@@ -328,6 +348,9 @@ def test_scan_and_library_share_tau_grid_refusals(capsys, monkeypatch, tau_max, 
      "p/q = 7/3 contradicts alpha/beta = 1.0"),
     (["quotient", "--N", "4", "--alpha", "1", "--beta", "1", "--p", "7", "--q", "3"],
      "p/q = 7/3 contradicts alpha/beta = 1.0"),
+    # a model at a non-finite time: the chain refuses the time
+    (["evolve", "--N", "4", "--alpha", "1", "--beta", "0", "--tau", "inf", "--target", "chain"],
+     "tau must be finite"),
 ])
 def test_ratio_inputs_exit_one_with_one_line(capsys, argv, message):
     code, out, err = run_without_warnings(capsys, argv)

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracrevival import chain, oracle, quotient, walk
+from fracrevival import chain, cli, oracle, quotient, revival, walk
 from fracrevival.errors import InvalidInputError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fracrevival"
-MODEL_REFUSALS = ("need N >= 2", "alpha and beta must be finite")
+ZERO_COUPLINGS = "(alpha, beta) != (0, 0) required"
+MODEL_REFUSALS = ("need N >= 2", "alpha and beta must be finite", ZERO_COUPLINGS)
 LENGTH_REFUSAL = "must have length"
 
 
@@ -37,7 +38,7 @@ def _breaches(source: str):
 def test_only_errors_decides_the_model_and_reads_the_guard(path):
     breaches = list(_breaches(path.read_text()))
     if path.name == "errors.py":
-        assert len(breaches) == 5  # REVIVAL_MAX_M, N < 2, both refusals of require_model, require_length
+        assert len(breaches) == 6  # REVIVAL_MAX_M, N < 2, the three refusals of require_model, require_length
     else:
         assert breaches == []
 
@@ -61,3 +62,34 @@ def test_every_state_of_the_wrong_length_gets_the_one_refusal(name, shape):
     with pytest.raises(InvalidInputError) as info:
         call(np.zeros(shape, dtype=complex))
     assert str(info.value) == f"state must have length {length}, got shape {shape}"
+
+
+ZERO_MODEL = {
+    "walk.WalkSpec": lambda: walk.WalkSpec(M=3, alpha=0.0, beta=0.0),
+    "chain.ChainSpec": lambda: chain.ChainSpec(N=4, alpha=0.0, beta=-0.0),
+    "revival.check_conditions": lambda: revival.check_conditions(4, 0.0, 0.0),
+    "revival.certify_numeric": lambda: revival.certify_numeric(4, 0.0, 0.0),
+    "revival.appendix_phase_check": lambda: revival.appendix_phase_check(4, 0.0, 0.0),
+    "quotient.equivalence_check": lambda: quotient.equivalence_check(4, 0.0, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_MODEL))
+def test_every_entry_point_refuses_zero_couplings_in_one_wording(name):
+    with pytest.raises(InvalidInputError) as info:
+        ZERO_MODEL[name]()
+    assert str(info.value) == ZERO_COUPLINGS
+
+
+@pytest.mark.parametrize("couplings", [[], ["--alpha", "0", "--beta", "-0"]], ids=["default", "explicit"])
+@pytest.mark.parametrize("command", [
+    ["verify"], ["appendix"], ["scan"], ["scan", "--tau-max", "3", "--steps", "4"],
+    ["evolve", "--tau", "1", "--target", "graph"], ["evolve", "--tau", "1", "--target", "chain"],
+    ["evolve", "--tau", "inf", "--target", "chain"], ["evolve", "--tau", "1", "--target", "both"],
+    ["quotient", "--tau", "1"],
+], ids=" ".join)
+def test_every_command_refuses_zero_couplings_in_one_line(capsys, command, couplings):
+    code = cli.main(command + ["--N", "4"] + couplings)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {ZERO_COUPLINGS}\n")
+

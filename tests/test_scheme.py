@@ -135,6 +135,16 @@ def test_intersection_number_base_pair_invariance():
             )
 
 
+def test_intersection_table_default_y_follows_x():
+    # y defaults to x with its first k bits flipped, so x alone is a base pair at distance k
+    M = 4
+    for k in range(M + 1):
+        default = oracle.intersection_table(k, M)
+        for x in range(1 << M):
+            np.testing.assert_array_equal(oracle.intersection_table(k, M, x=x), default)
+    assert oracle.intersection_number(0, 0, 1, 3, x=1) == oracle.intersection_number(0, 0, 1, 3)
+
+
 def test_intersection_table_matches_scalar_and_symmetry():
     for M in range(1, 11):
         for k in range(M + 1):

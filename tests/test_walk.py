@@ -228,6 +228,10 @@ def test_closed_form_amplitudes_match_fwht_evolution(M, alpha, beta):
     tau=st.floats(0.0, 20.0),
 )
 def test_closed_form_amplitudes_match_fwht_property(M, alpha, beta, tau):
+    if alpha == 0.0 and beta == 0.0:
+        with pytest.raises(InvalidInputError, match=r"^\(alpha, beta\) != \(0, 0\) required$"):
+            walk.WalkSpec(M=M, alpha=alpha, beta=beta)
+        return
     assert_closed_form_matches_fwht(walk.WalkSpec(M=M, alpha=alpha, beta=beta), tau)
 
 
