@@ -9,6 +9,7 @@ module imports this one; the package re-exports its public names.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -99,6 +100,15 @@ def hamming_distance(x: int, y: int) -> int:
     return (x ^ y).bit_count()
 
 
+def weight_masks(M: int, i: int):
+    """Yield every M-bit mask of population count i (deterministic order)."""
+    for bits in itertools.combinations(range(M), i):
+        m = 0
+        for b in bits:
+            m |= 1 << b
+        yield m
+
+
 @dataclass(frozen=True)
 class SchemeOperator:
     """The adjacency operator A_i of the distance-i graph of H(M,2)."""
@@ -128,7 +138,7 @@ def apply_adjacency(op: SchemeOperator, psi: np.ndarray) -> np.ndarray:
         return psi.copy()
     idx = np.arange(size)
     out = np.zeros_like(psi)
-    for mask in scheme.weight_masks(op.M, op.distance_class):
+    for mask in weight_masks(op.M, op.distance_class):
         out += psi[idx ^ mask]
     return out
 

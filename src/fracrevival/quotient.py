@@ -5,8 +5,9 @@ corner (k_n = C(N-1, n-1) of them); |col n> is their normalized uniform
 superposition.  The walk Hamiltonian preserves the span of these N vectors,
 and its matrix elements there reproduce the chain couplings exactly:
 <col n+1|A_1|col n> = 2 J_n, <col n+2|A_2|col n> = 2 J_n J_{n+1}, and the
-diagonal of A_2/2 + (N-1)/4 reproduces the on-site terms.  Everything here is
-verified by explicit summation over vertices, in exact integers wherever the
+diagonal of A_2/2 + (N-1)/4 reproduces the on-site terms.  The elements come
+from exact pair counts between distance shells, a binomial times an
+intersection number of H(M,2), and are checked in exact integers wherever the
 quantity is rational.
 """
 
@@ -20,17 +21,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import scheme, walk
-from .errors import InvalidInputError, ResourceLimitError, require_length, require_model
-
-# Explicit two-index summation over all vertex pairs stops here.
-ENUMERATION_MAX_N = 14
-
-
-def _check_enumeration(N: int) -> None:
-    """Refuse what errors.require_model refuses, then N above ENUMERATION_MAX_N, before enumerating."""
-    require_model(N)
-    if N > ENUMERATION_MAX_N:
-        raise ResourceLimitError(f"explicit enumeration refused for N = {N} > {ENUMERATION_MAX_N}")
+from .errors import InvalidInputError, check_size, require_length, require_model
 
 
 @dataclass(frozen=True)
@@ -92,16 +83,18 @@ def project(basis: ColumnBasis, psi: np.ndarray) -> ColumnState:
     return ColumnState(coords=coords, leakage=leakage)
 
 
-def _pair_counts(M: int, distance: int) -> np.ndarray:
-    """counts[a, b] = ordered vertex pairs (y, x) with |y| = a, |x| = b, d(x, y) = distance."""
-    weights = scheme.hamming_weights(M).astype(np.int64)
-    idx = np.arange(1 << M)
-    counts = np.zeros((M + 1) * (M + 1), dtype=np.int64)
-    for mask in scheme.weight_masks(M, distance):
-        counts += np.bincount(
-            weights * (M + 1) + weights[idx ^ mask], minlength=(M + 1) * (M + 1)
-        )
-    return counts.reshape(M + 1, M + 1)
+def _pair_counts(M: int, distance: int) -> list[list[int]]:
+    """counts[a][b] = ordered vertex pairs (y, x) with |y| = a, |x| = b, d(x, y) = distance.
+
+    y flips j of the b ones of x and distance - j of its M - b zeros, so
+    a = b + distance - 2j and counts[a][b] = C(M,b) C(b,j) C(M-b,distance-j),
+    exact in Python ints; every other entry is zero.
+    """
+    counts = [[0] * (M + 1) for _ in range(M + 1)]
+    for b in range(M + 1):
+        for j in range(max(0, distance - (M - b)), min(b, distance) + 1):
+            counts[b + distance - 2 * j][b] = comb(M, b) * comb(b, j) * comb(M - b, distance - j)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,7 @@ class ShiftedDiagonalReport:
 
 @dataclass(frozen=True)
 class QuotientTable:
-    """Column-basis matrix elements of A_1 and A_2, from explicit summation."""
+    """Column-basis matrix elements of A_1 and A_2, from exact pair counts."""
 
     N: int
     a1_upper: np.ndarray   # <col n+1|A_1|col n>, n = 1..N-1
@@ -133,7 +126,7 @@ class QuotientTable:
     @property
     def distance4_same_column(self) -> np.ndarray:
         """Ordered vertex pairs inside each column at distance 4, counted when read."""
-        return _pair_counts(self.N - 1, 4).diagonal().copy()
+        return np.array([row[a] for a, row in enumerate(_pair_counts(self.N - 1, 4))])
 
     @property
     def passed(self) -> bool:
@@ -155,47 +148,53 @@ class QuotientTable:
 def quotient_matrix_elements(N: int) -> QuotientTable:
     """Measure every column-basis matrix element of A_1 and A_2 and check the closed forms.
 
-    Closed forms asserted exactly on integers (squared where a square root is
-    involved): <col n+1|A_1|col n>^2 = n(N-n), 4<col n+/-2|A_2|col n>^2 =
-    n(n+1)(N-n)(N-n-1), <col n|A_2|col n> = (n-1)(N-n).  Vertex pairs inside a
-    column at distance 4 never contribute to A_2; the table counts them only
-    when distance4_same_column is read.  The same distance-2 counts give the
-    exact rational check of the shifted diagonal, table.shifted.
+    Refused first as errors.require_model and errors.check_size(N - 1) refuse.
+    The elements come from the exact counts of _pair_counts and the column
+    sizes k_n as Python ints; a product k_a k_b beyond the float range is
+    refused.  Closed forms asserted exactly on integers (squared where a
+    square root is involved): <col n+1|A_1|col n>^2 = n(N-n),
+    4<col n+/-2|A_2|col n>^2 = n(n+1)(N-n)(N-n-1), <col n|A_2|col n> =
+    (n-1)(N-n).  Vertex pairs inside a column at distance 4 never contribute
+    to A_2; the table counts them only when distance4_same_column is read.
+    The same distance-2 counts give the exact rational check of the shifted
+    diagonal, table.shifted.
     """
-    _check_enumeration(N)
+    require_model(N)
     M = N - 1
-    k = ColumnBasis(N).sizes
+    check_size(M)
+    k = [comb(M, n) for n in range(N)]
     counts1 = _pair_counts(M, 1)
     counts2 = _pair_counts(M, 2)
 
     # counts index by bit-weight w = n-1
-    a1_upper = np.array(
-        [counts1[n - 1, n] / np.sqrt(k[n - 1] * k[n]) for n in range(1, N)]
-    )
-    a2_upper = np.array(
-        [counts2[n - 1, n + 1] / np.sqrt(k[n - 1] * k[n + 1]) for n in range(1, N - 1)]
-    )
-    a2_lower = np.array(
-        [counts2[n - 1, n - 3] / np.sqrt(k[n - 1] * k[n - 3]) for n in range(3, N + 1)]
-    )
-    a2_diag = np.array([counts2[n - 1, n - 1] / k[n - 1] for n in range(1, N + 1)], dtype=float)
+    try:
+        a1_upper = np.array([counts1[n - 1][n] / np.sqrt(float(k[n - 1] * k[n])) for n in range(1, N)])
+        a2_upper = np.array(
+            [counts2[n - 1][n + 1] / np.sqrt(float(k[n - 1] * k[n + 1])) for n in range(1, N - 1)]
+        )
+        a2_lower = np.array(
+            [counts2[n - 1][n - 3] / np.sqrt(float(k[n - 1] * k[n - 3])) for n in range(3, N + 1)]
+        )
+    except OverflowError as exc:
+        raise InvalidInputError(f"the products of the column sizes C({M}, n) overflow a float") from exc
+    a2_diag = np.array([counts2[n - 1][n - 1] / k[n - 1] for n in range(1, N + 1)], dtype=float)
 
     exact = True
     for n in range(1, N):
-        c = int(counts1[n - 1, n])
+        c = counts1[n - 1][n]
         exact &= c == k[n - 1] * (N - n)
-        exact &= c * c == n * (N - n) * int(k[n - 1]) * int(k[n])
+        exact &= c * c == n * (N - n) * k[n - 1] * k[n]
     for n in range(1, N - 1):
-        c = int(counts2[n - 1, n + 1])
-        exact &= 2 * c == int(k[n - 1]) * (N - n) * (N - n - 1)
-        exact &= 4 * c * c == n * (n + 1) * (N - n) * (N - n - 1) * int(k[n - 1]) * int(k[n + 1])
+        c = counts2[n - 1][n + 1]
+        exact &= 2 * c == k[n - 1] * (N - n) * (N - n - 1)
+        exact &= 4 * c * c == n * (n + 1) * (N - n) * (N - n - 1) * k[n - 1] * k[n + 1]
     for n in range(3, N + 1):
-        exact &= int(counts2[n - 1, n - 3]) == int(counts2[n - 3, n - 1])
+        exact &= counts2[n - 1][n - 3] == counts2[n - 3][n - 1]
     shifted_exact = True
     shifted_dev = 0.0
     for n in range(1, N + 1):
-        exact &= int(counts2[n - 1, n - 1]) == int(k[n - 1]) * (n - 1) * (N - n)
-        lhs = Fraction(int(counts2[n - 1, n - 1]), int(k[n - 1])) / 2 + Fraction(N - 1, 4)
+        exact &= counts2[n - 1][n - 1] == k[n - 1] * (n - 1) * (N - n)
+        lhs = Fraction(counts2[n - 1][n - 1], k[n - 1]) / 2 + Fraction(N - 1, 4)
         rhs = Fraction(n * (N - n) + (n - 1) * (N - n + 1), 4)  # J_n^2 + J_{n-1}^2
         shifted_exact &= lhs == rhs
         shifted_dev = max(shifted_dev, abs(float(lhs) - float(rhs)))

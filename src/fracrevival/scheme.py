@@ -9,8 +9,6 @@ errors.check_size before it allocates.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .errors import InvalidInputError, ResourceLimitError, check_size
@@ -33,15 +31,6 @@ def hamming_weights(M: int) -> np.ndarray:
     for k in range(M):
         np.add(w[:1 << k], 1, out=w[1 << k:2 << k])
     return w
-
-
-def weight_masks(M: int, i: int):
-    """Yield every M-bit mask of population count i (deterministic order)."""
-    for bits in itertools.combinations(range(M), i):
-        m = 0
-        for b in bits:
-            m |= 1 << b
-        yield m
 
 
 def dense_adjacency(M: int, i: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, schemas, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -387,6 +388,51 @@ def test_quotient_command(capsys):
     assert payload["max_closed_form_deviation"] < 1e-12
     assert payload["shifted_diagonal"]["exact"] is True
     assert payload["equivalence"] is None
+
+
+# SHA-256 of `quotient --N n` stdout, pinned from the enumerated pair counts.
+# These reports hold only integer-to-float arithmetic and %.17g, no eigh.
+QUOTIENT_REPORT_SHA256 = {
+    2: "2bffea0dfb7b23f66af567515674a1886f182dde8409e87b77de87e85c743f13",
+    3: "bdbe97d4362d510f43ff5cae5f6d7b6627e99293e7890df85a20575de4e4c206",
+    4: "1b915157eb1d97db007d487b0cae7cc4412c842ee667281e77f861e8bfa11a43",
+    5: "edf164bf895fcdcdd05503afe4484fea516cdfbae61d6108563251e2cdf9b822",
+    6: "39161fe8668f1fa0684d54029fafd8efe5470db950058a7f8c204f0e75a60bae",
+    7: "5616e2064d06f8b17d42dda7fa41348e6f16af269c7ead444fac2c81fc1570ff",
+    8: "9df7c6bce285b2ec0fdf94fe3badb7953d90eaaf45a8e12972880db8880aa46d",
+    9: "a99dcef3573a2aedc3460feac973626d1053a18b6774fea5eaa890e192f922c6",
+    10: "479cd7882d430485d1d4ce90250e83fb11d325fe1236032aa84ddcf226785131",
+    11: "578d52fd4d5f27dbe87f37fdd0e0df41540850b603160d8cc678e6e92704ea8c",
+    12: "1ded98575a41890e13ae70ed897417fe82a0d272b595b932bb4d17e1cee6b7cd",
+    13: "a40331492f30a5b05aec9d7b225b26836d92b12f15f3c942b3ffad45f983f5fb",
+    14: "af58a31c2b9ab600090e7d00c1a26a72e71f20058d285e7dfd3b0599bb2c35af",
+}
+
+
+@pytest.mark.parametrize("N", sorted(QUOTIENT_REPORT_SHA256))
+def test_quotient_report_bytes_are_pinned(capsys, N):
+    code, out, err = run(capsys, ["quotient", "--N", str(N)])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == QUOTIENT_REPORT_SHA256[N]
+
+
+def test_quotient_above_the_guard_is_refused_before_any_count(capsys, monkeypatch):
+    monkeypatch.setattr(quotient, "_pair_counts", None)
+    assert run(capsys, ["quotient", "--N", "28"]) == (
+        1, "", "error: M = 27 exceeds the guard (26); set REVIVAL_MAX_M to override\n")
+    assert run(capsys, ["quotient", "--N", "1000000000"]) == (
+        1, "", "error: M = 999999999 exceeds the guard (26); set REVIVAL_MAX_M to override\n")
+
+
+def test_quotient_under_a_raised_guard(capsys, monkeypatch):
+    monkeypatch.setenv("REVIVAL_MAX_M", "200")
+    code, out, err = run(capsys, ["quotient", "--N", "201"])
+    assert (code, err) == (0, "")
+    assert '"exact_closed_forms": true' in out
+    # from N = 518 a product k_a k_b of column sizes leaves the float range
+    monkeypatch.setenv("REVIVAL_MAX_M", "600")
+    assert run(capsys, ["quotient", "--N", "600"]) == (
+        1, "", "error: the products of the column sizes C(599, n) overflow a float\n")
 
 
 @pytest.mark.parametrize("extra", [[], ["--alpha", "1", "--beta", "2", "--tau", "1.234"],

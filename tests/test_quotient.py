@@ -1,6 +1,6 @@
 """Column projection, quotient matrix elements, and graph-chain equivalence."""
 
-from math import pi, sqrt
+from math import comb, pi, sqrt
 
 import numpy as np
 import pytest
@@ -87,9 +87,23 @@ def test_distance4_pairs_exist_but_are_excluded():
     np.testing.assert_allclose(table.a2_diag, (nvals - 1) * (7 - nvals), atol=1e-13)
 
 
-def test_quotient_guard():
-    with pytest.raises(ResourceLimitError):
-        quotient.quotient_matrix_elements(15)
+@pytest.mark.parametrize("M", range(11))
+def test_pair_counts_equal_the_brute_force_intersection_numbers(M):
+    # C(M, b) vertices x of weight b, each with p^b_{a,i} vertices y of weight a at distance i
+    for i in (1, 2, 4):
+        counts = quotient._pair_counts(M, i)
+        for b in range(M + 1):
+            table = oracle.intersection_table(b, M)
+            for a in range(M + 1):
+                expected = comb(M, b) * int(table[a, i]) if i <= M else 0
+                assert type(counts[a][b]) is int
+                assert counts[a][b] == expected, (M, i, a, b)
+
+
+@pytest.mark.parametrize("N", range(15, 28))
+def test_quotient_runs_to_the_size_guard(N):
+    table = quotient.quotient_matrix_elements(N)
+    assert table.passed and table.exact_closed_forms and table.shifted.passed
 
 
 @pytest.mark.parametrize("build", [
