@@ -7,7 +7,7 @@ and the arithmetic conditions under which they exhibit balanced fractional
 revival or perfect state transfer between antipodes.
 """
 
-from .chain import ChainOperator, ChainSpec, build_hamiltonian, chain_evolve, couplings, site_state
+from .chain import ChainSpec, build_hamiltonian, chain_evolve, site_state
 from .errors import InvalidInputError, ResourceLimitError
 from .kraw import graph_eigenvalues
 from .oracle import (
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BALANCED_FR",
-    "ChainOperator",
     "ChainSpec",
     "ColumnBasis",
     "ColumnState",
@@ -60,7 +59,6 @@ __all__ = [
     "chain_evolve",
     "check_conditions",
     "corner_state",
-    "couplings",
     "dense_oracle_evolve",
     "equivalence_check",
     "evolve_graph",

@@ -12,7 +12,6 @@ eigendecomposition; N stays at desk scale, so exactness beats scalability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,53 +33,29 @@ class ChainSpec:
         require_model(self.N, self.alpha, self.beta)
 
 
-class Couplings(NamedTuple):
-    J: np.ndarray   # J_n = sqrt(n(N-n))/2 for n = 1..N-1
-    J1: np.ndarray  # nearest couplings beta*J_n, n = 1..N-1
-    J2: np.ndarray  # next-to-nearest couplings alpha*J_n*J_{n+1}, n = 1..N-2
-    B: np.ndarray   # on-site terms alpha*(J_n^2 + J_{n-1}^2), n = 1..N
+def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """The dense N x N pentadiagonal Hamiltonian, which equals alpha*J^2 + beta*J.
 
-
-def couplings(spec: ChainSpec) -> Couplings:
-    """All coupling arrays of the chain; J_0 = J_N = 0 make the on-site formula total."""
-    N = spec.N
+    J_0 = J_N = 0 make the on-site formula total.  The factorization is an
+    exact identity (in floats, up to a few ulp of the largest entry); the
+    tests check it against oracle.hopping_matrix.  Refused within the size
+    guard, and when an entry overflows a float: max|E| is at least the largest
+    |entry| of a symmetric matrix, and eigh cannot take an inf.
+    """
+    N, alpha, beta = spec.N, spec.alpha, spec.beta
+    check_elements(N * N, "the chain Hamiltonian")
     n = np.arange(1, N)
     J = 0.5 * np.sqrt(n * (N - n))
-    J1 = spec.beta * J
-    J2 = spec.alpha * J[:-1] * J[1:]
     Jpad = np.concatenate(([0.0], J, [0.0]))  # J_0 .. J_N
-    B = spec.alpha * (Jpad[1:N + 1] ** 2 + Jpad[0:N] ** 2)
-    return Couplings(J=J, J1=J1, J2=J2, B=B)
-
-
-@dataclass(frozen=True)
-class ChainOperator:
-    """Symmetric pentadiagonal one-excitation Hamiltonian."""
-
-    diag: np.ndarray      # length N
-    offdiag1: np.ndarray  # length N-1
-    offdiag2: np.ndarray  # length N-2
-
-    @property
-    def N(self) -> int:
-        return len(self.diag)
-
-    def to_dense(self) -> np.ndarray:
-        h = np.diag(self.diag)
-        h += np.diag(self.offdiag1, 1) + np.diag(self.offdiag1, -1)
-        if len(self.offdiag2):
-            h += np.diag(self.offdiag2, 2) + np.diag(self.offdiag2, -2)
-        return h
-
-
-def build_hamiltonian(spec: ChainSpec) -> ChainOperator:
-    """Assemble the pentadiagonal operator, which equals alpha*J^2 + beta*J.
-
-    The factorization is an exact identity (in floats, up to a few ulp of the
-    largest entry); the tests check it against oracle.hopping_matrix.
-    """
-    c = couplings(spec)
-    return ChainOperator(diag=c.B, offdiag1=c.J1, offdiag2=c.J2)
+    with np.errstate(over="ignore"):
+        h = np.diag(alpha * (Jpad[1:N + 1] ** 2 + Jpad[0:N] ** 2))
+        h += np.diag(beta * J, 1) + np.diag(beta * J, -1)
+        if N > 2:
+            J2 = alpha * J[:-1] * J[1:]
+            h += np.diag(J2, 2) + np.diag(J2, -2)
+    if not np.isfinite(h).all():
+        raise InvalidInputError("the spectrum overflows a float")
+    return h
 
 
 def site_state(N: int, site: int) -> np.ndarray:
@@ -103,13 +78,7 @@ def chain_evolve(spec: ChainSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
     """
     psi0 = np.asarray(psi0, dtype=complex)
     require_length(psi0, spec.N)
-    check_elements(spec.N * spec.N, "the chain Hamiltonian")
-    with np.errstate(over="ignore"):
-        h = build_hamiltonian(spec).to_dense()
-    # max|E| is at least the largest |entry| of a symmetric matrix, and eigh cannot take an inf
-    if not np.isfinite(h).all():
-        raise InvalidInputError("the spectrum overflows a float")
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(build_hamiltonian(spec))
     phases = eigenphases(tau, w)
     require_unit_norm(psi0)
     return v @ (phases * (v.T @ psi0))

@@ -352,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        # argparse reads "-1e-5" as an option, not a value; this pattern, a
-        # superset of argparse's own, also takes exponents as negative numbers
-        p._negative_number_matcher = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+        # argparse reads "-1e-5" or "-inf" as an option, not a value; this pattern, a
+        # superset of argparse's own, also takes exponents, inf and nan as float() spells them
+        p._negative_number_matcher = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.I)
         p.add_argument("--N", type=int, required=True, help="number of chain sites (graph has 2^(N-1) vertices)")
         p.add_argument("--alpha", type=float, default=0.0, help="next-to-nearest / face-diagonal strength")
         p.add_argument("--beta", type=float, default=0.0, help="nearest / hypercube-edge strength")

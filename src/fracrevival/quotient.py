@@ -83,17 +83,20 @@ def project(basis: ColumnBasis, psi: np.ndarray) -> ColumnState:
     return ColumnState(coords=coords, leakage=leakage)
 
 
-def _pair_counts(M: int, distance: int) -> list[list[int]]:
-    """counts[a][b] = ordered vertex pairs (y, x) with |y| = a, |x| = b, d(x, y) = distance.
+def _pair_counts(M: int, distance: int) -> dict[tuple[int, int], int]:
+    """counts[a, b] = ordered vertex pairs (y, x) with |y| = a, |x| = b, d(x, y) = distance.
 
     y flips j of the b ones of x and distance - j of its M - b zeros, so
-    a = b + distance - 2j and counts[a][b] = C(M,b) C(b,j) C(M-b,distance-j),
-    exact in Python ints; every other entry is zero.
+    a = b + distance - 2j and counts[a, b] = C(M,b) C(b,j) C(M-b,distance-j),
+    exact in Python ints (comb is 0 where j does not fit).  Only these band
+    entries are stored; every other count is zero.
     """
-    counts = [[0] * (M + 1) for _ in range(M + 1)]
+    counts = {}
     for b in range(M + 1):
-        for j in range(max(0, distance - (M - b)), min(b, distance) + 1):
-            counts[b + distance - 2 * j][b] = comb(M, b) * comb(b, j) * comb(M - b, distance - j)
+        for j in range(distance + 1):
+            a = b + distance - 2 * j
+            if 0 <= a <= M:
+                counts[a, b] = comb(M, b) * comb(b, j) * comb(M - b, distance - j)
     return counts
 
 
@@ -126,7 +129,8 @@ class QuotientTable:
     @property
     def distance4_same_column(self) -> np.ndarray:
         """Ordered vertex pairs inside each column at distance 4, counted when read."""
-        return np.array([row[a] for a, row in enumerate(_pair_counts(self.N - 1, 4))])
+        counts = _pair_counts(self.N - 1, 4)
+        return np.array([counts[a, a] for a in range(self.N)])
 
     @property
     def passed(self) -> bool:
@@ -148,13 +152,13 @@ class QuotientTable:
 def quotient_matrix_elements(N: int) -> QuotientTable:
     """Measure every column-basis matrix element of A_1 and A_2 and check the closed forms.
 
-    Refused first as errors.require_model and errors.check_size(N - 1) refuse.
-    The elements come from the exact counts of _pair_counts and the column
-    sizes k_n as Python ints; a product k_a k_b beyond the float range is
-    refused.  Closed forms asserted exactly on integers (squared where a
-    square root is involved): <col n+1|A_1|col n>^2 = n(N-n),
-    4<col n+/-2|A_2|col n>^2 = n(n+1)(N-n)(N-n-1), <col n|A_2|col n> =
-    (n-1)(N-n).  Vertex pairs inside a column at distance 4 never contribute
+    Refused first as errors.require_model and errors.check_size(N - 1) refuse,
+    then, before any count, when the largest product k_a k_b of column sizes
+    leaves the float range.  The elements come from the exact counts of
+    _pair_counts and the sizes k_n as Python ints.  Closed forms asserted
+    exactly on integers (squared where a square root is involved):
+    <col n+1|A_1|col n>^2 = n(N-n), 4<col n+/-2|A_2|col n>^2 =
+    n(n+1)(N-n)(N-n-1), <col n|A_2|col n> = (n-1)(N-n).  Vertex pairs inside a column at distance 4 never contribute
     to A_2; the table counts them only when distance4_same_column is read.
     The same distance-2 counts give the exact rational check of the shifted
     diagonal, table.shifted.
@@ -162,39 +166,36 @@ def quotient_matrix_elements(N: int) -> QuotientTable:
     require_model(N)
     M = N - 1
     check_size(M)
+    try:
+        float(comb(M, M // 2) * comb(M, M // 2 + 1))  # the largest product k_a k_b read below
+    except OverflowError as exc:
+        raise InvalidInputError(f"the products of the column sizes C({M}, n) overflow a float") from exc
     k = [comb(M, n) for n in range(N)]
     counts1 = _pair_counts(M, 1)
     counts2 = _pair_counts(M, 2)
 
     # counts index by bit-weight w = n-1
-    try:
-        a1_upper = np.array([counts1[n - 1][n] / np.sqrt(float(k[n - 1] * k[n])) for n in range(1, N)])
-        a2_upper = np.array(
-            [counts2[n - 1][n + 1] / np.sqrt(float(k[n - 1] * k[n + 1])) for n in range(1, N - 1)]
-        )
-        a2_lower = np.array(
-            [counts2[n - 1][n - 3] / np.sqrt(float(k[n - 1] * k[n - 3])) for n in range(3, N + 1)]
-        )
-    except OverflowError as exc:
-        raise InvalidInputError(f"the products of the column sizes C({M}, n) overflow a float") from exc
-    a2_diag = np.array([counts2[n - 1][n - 1] / k[n - 1] for n in range(1, N + 1)], dtype=float)
+    a1_upper = np.array([counts1[n - 1, n] / np.sqrt(float(k[n - 1] * k[n])) for n in range(1, N)])
+    a2_upper = np.array([counts2[n - 1, n + 1] / np.sqrt(float(k[n - 1] * k[n + 1])) for n in range(1, N - 1)])
+    a2_lower = np.array([counts2[n - 1, n - 3] / np.sqrt(float(k[n - 1] * k[n - 3])) for n in range(3, N + 1)])
+    a2_diag = np.array([counts2[n - 1, n - 1] / k[n - 1] for n in range(1, N + 1)], dtype=float)
 
     exact = True
     for n in range(1, N):
-        c = counts1[n - 1][n]
+        c = counts1[n - 1, n]
         exact &= c == k[n - 1] * (N - n)
         exact &= c * c == n * (N - n) * k[n - 1] * k[n]
     for n in range(1, N - 1):
-        c = counts2[n - 1][n + 1]
+        c = counts2[n - 1, n + 1]
         exact &= 2 * c == k[n - 1] * (N - n) * (N - n - 1)
         exact &= 4 * c * c == n * (n + 1) * (N - n) * (N - n - 1) * k[n - 1] * k[n + 1]
     for n in range(3, N + 1):
-        exact &= counts2[n - 1][n - 3] == counts2[n - 3][n - 1]
+        exact &= counts2[n - 1, n - 3] == counts2[n - 3, n - 1]
     shifted_exact = True
     shifted_dev = 0.0
     for n in range(1, N + 1):
-        exact &= counts2[n - 1][n - 1] == k[n - 1] * (n - 1) * (N - n)
-        lhs = Fraction(counts2[n - 1][n - 1], k[n - 1]) / 2 + Fraction(N - 1, 4)
+        exact &= counts2[n - 1, n - 1] == k[n - 1] * (n - 1) * (N - n)
+        lhs = Fraction(counts2[n - 1, n - 1], k[n - 1]) / 2 + Fraction(N - 1, 4)
         rhs = Fraction(n * (N - n) + (n - 1) * (N - n + 1), 4)  # J_n^2 + J_{n-1}^2
         shifted_exact &= lhs == rhs
         shifted_dev = max(shifted_dev, abs(float(lhs) - float(rhs)))

@@ -1,36 +1,43 @@
-"""Chain couplings, the pentadiagonal operator, and one-excitation evolution."""
+"""Chain couplings, read as the bands of the dense Hamiltonian, and one-excitation evolution."""
 
 from math import pi, sqrt
+
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from fracrevival import chain, oracle
-from fracrevival.errors import InvalidInputError
+from fracrevival.errors import InvalidInputError, ResourceLimitError
+
+
+def _hamiltonian(N, alpha, beta):
+    return chain.build_hamiltonian(chain.ChainSpec(N=N, alpha=alpha, beta=beta))
 
 
 def test_couplings_four_sites():
-    c = chain.couplings(chain.ChainSpec(N=4, alpha=0.0, beta=1.0))
-    np.testing.assert_allclose(c.J, [sqrt(3) / 2, 1.0, sqrt(3) / 2], atol=1e-15)
+    h = _hamiltonian(4, 0.0, 1.0)
+    np.testing.assert_allclose(np.diag(h, 1), [sqrt(3) / 2, 1.0, sqrt(3) / 2], atol=1e-15)
 
 
 def test_couplings_vanish_without_nnn_term():
-    c = chain.couplings(chain.ChainSpec(N=6, alpha=0.0, beta=2.0))
-    np.testing.assert_array_equal(c.J2, np.zeros(4))
-    np.testing.assert_array_equal(c.B, np.zeros(6))
+    h = _hamiltonian(6, 0.0, 2.0)
+    np.testing.assert_array_equal(np.diag(h, 2), np.zeros(4))
+    np.testing.assert_array_equal(np.diag(h), np.zeros(6))
 
 
 def test_couplings_two_sites():
-    c = chain.couplings(chain.ChainSpec(N=2, alpha=1.2, beta=0.5))
-    np.testing.assert_allclose(c.J, [0.5])
-    np.testing.assert_allclose(c.B, [1.2 / 4, 1.2 / 4])
+    h = _hamiltonian(2, 1.2, 0.5)
+    np.testing.assert_allclose(np.diag(h, 1), [0.5 * 0.5])  # beta * J_1, J_1 = 1/2
+    np.testing.assert_allclose(np.diag(h), [1.2 / 4, 1.2 / 4])
 
 
 def test_couplings_mirror_symmetry():
     # J_n = J_{N-n}: the chain is persymmetric
     for N in (3, 8, 13):
-        c = chain.couplings(chain.ChainSpec(N=N, alpha=1.0, beta=1.0))
-        np.testing.assert_allclose(c.J, c.J[::-1], atol=1e-15)
+        J = np.diag(_hamiltonian(N, 0.0, 1.0), 1)
+        np.testing.assert_allclose(J, J[::-1], atol=1e-15)
 
 
 def test_spec_validation():
@@ -41,41 +48,79 @@ def test_spec_validation():
 
 
 def test_hamiltonian_nn_only_three_sites():
-    op = chain.build_hamiltonian(chain.ChainSpec(N=3, alpha=0.0, beta=1.0))
-    np.testing.assert_allclose(op.offdiag1, [1 / sqrt(2), 1 / sqrt(2)], atol=1e-15)
-    np.testing.assert_array_equal(op.diag, np.zeros(3))
-    np.testing.assert_array_equal(op.offdiag2, np.zeros(1))
+    h = _hamiltonian(3, 0.0, 1.0)
+    np.testing.assert_allclose(np.diag(h, 1), [1 / sqrt(2), 1 / sqrt(2)], atol=1e-15)
+    np.testing.assert_array_equal(np.diag(h), np.zeros(3))
+    np.testing.assert_array_equal(np.diag(h, 2), np.zeros(1))
 
 
 def test_hamiltonian_nnn_only_three_sites():
     alpha = 1.7
-    op = chain.build_hamiltonian(chain.ChainSpec(N=3, alpha=alpha, beta=0.0))
-    np.testing.assert_array_equal(op.offdiag1, np.zeros(2))
-    np.testing.assert_allclose(op.offdiag2, [alpha / 2], atol=1e-15)
-    np.testing.assert_allclose(op.diag, [alpha / 2, alpha, alpha / 2], atol=1e-15)
+    h = _hamiltonian(3, alpha, 0.0)
+    np.testing.assert_array_equal(np.diag(h, 1), np.zeros(2))
+    np.testing.assert_allclose(np.diag(h, 2), [alpha / 2], atol=1e-15)
+    np.testing.assert_allclose(np.diag(h), [alpha / 2, alpha, alpha / 2], atol=1e-15)
 
 
 def test_hamiltonian_factorizes_through_hopping_matrix():
     rng = np.random.default_rng(6)
     for N in (2, 3, 5, 9, 15):
         alpha, beta = rng.uniform(-3, 3, size=2)
-        op = chain.build_hamiltonian(chain.ChainSpec(N=N, alpha=float(alpha), beta=float(beta)))
+        h = _hamiltonian(N, float(alpha), float(beta))
         J = oracle.hopping_matrix(N)
-        np.testing.assert_array_equal(op.to_dense(), op.to_dense().T)
-        assert np.abs(op.to_dense() - (alpha * J @ J + beta * J)).max() < 1e-14
+        np.testing.assert_array_equal(h, h.T)
+        assert np.abs(h - (alpha * J @ J + beta * J)).max() < 1e-14
     # at N = 40 entries reach ~300, where one ulp exceeds 1e-14, so the bound
     # is 1e-14 relative to the largest entry
     alpha, beta = rng.uniform(-3, 3, size=2)
-    op = chain.build_hamiltonian(chain.ChainSpec(N=40, alpha=float(alpha), beta=float(beta)))
+    h = _hamiltonian(40, float(alpha), float(beta))
     J = oracle.hopping_matrix(40)
     reference = alpha * J @ J + beta * J
-    np.testing.assert_array_equal(op.to_dense(), op.to_dense().T)
-    assert np.abs(op.to_dense() - reference).max() < 1e-14 * np.abs(reference).max()
+    np.testing.assert_array_equal(h, h.T)
+    assert np.abs(h - reference).max() < 1e-14 * np.abs(reference).max()
+
+
+def test_hamiltonian_is_the_three_closed_form_bands():
+    rng = np.random.default_rng(16)
+    for N in range(2, 41):
+        alpha, beta = (float(x) for x in rng.uniform(-3, 3, size=2))
+        J = [0.5 * sqrt(n * (N - n)) for n in range(N + 1)]  # J_0 .. J_N, J_0 = J_N = 0
+        expected = np.zeros((N, N))
+        for i in range(N):  # site n = i + 1
+            expected[i, i] = alpha * (J[i + 1] * J[i + 1] + J[i] * J[i])
+            if i + 1 < N:
+                expected[i, i + 1] = expected[i + 1, i] = beta * J[i + 1]
+            if i + 2 < N:
+                expected[i, i + 2] = expected[i + 2, i] = alpha * J[i + 1] * J[i + 2]
+        h = _hamiltonian(N, alpha, beta)
+        assert type(h) is np.ndarray and h.dtype == np.float64
+        np.testing.assert_array_equal(h, expected)
+        rows, cols = np.indices((N, N))
+        assert not h[np.abs(rows - cols) > 2].any()
+
+
+def test_hamiltonian_refuses_overflow_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="^the spectrum overflows a float$"):
+            _hamiltonian(5, 1e308, 1e308)
+
+
+def test_hamiltonian_refused_before_allocation(monkeypatch):
+    monkeypatch.delenv("REVIVAL_MAX_M", raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="^the chain Hamiltonian needs 10000000000 elements, above the guard"):
+            _hamiltonian(100000, 1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_hamiltonian_commutes_with_reversal():
     for N in (4, 7):
-        h = chain.build_hamiltonian(chain.ChainSpec(N=N, alpha=0.9, beta=1.1)).to_dense()
+        h = _hamiltonian(N, 0.9, 1.1)
         r = np.eye(N)[::-1]
         assert np.abs(r @ h @ r - h).max() < 1e-14
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 
 from fracrevival import chain, cli, quotient, revival, walk
 from fracrevival.errors import InvalidInputError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, argv):
@@ -65,6 +68,19 @@ def test_verify_rejects_non_finite_couplings(capsys, value):
     assert code == 1
     assert out == ""
     assert "alpha and beta must be finite" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--alpha", "-inf", "--beta", "1"], "alpha and beta must be finite"),
+    (["verify", "--alpha", "1", "--beta", "-nan"], "alpha and beta must be finite"),
+    (["appendix", "--alpha", "-INFINITY", "--beta", "1"], "alpha and beta must be finite"),
+    (["evolve", "--alpha", "1", "--beta", "1", "--tau", "-inf", "--target", "both"], "tau must be finite"),
+    (["evolve", "--alpha", "-Inf", "--beta", "1", "--tau", "1"], "alpha and beta must be finite"),
+    (["scan", "--alpha", "1", "--beta", "1", "--tau-max", "-Infinity"], "empty tau range [0.0, -inf]"),
+    (["quotient", "--alpha", "1", "--beta", "1", "--tau", "-NaN"], "tau must be finite"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else "")
+def test_negative_inf_and_nan_are_values_not_options(capsys, argv, message):
+    assert run(capsys, argv + ["--N", "4"]) == (1, "", f"error: {message}\n")
 
 
 def test_verify_mismatch_exits_two(capsys):
@@ -429,7 +445,12 @@ def test_quotient_under_a_raised_guard(capsys, monkeypatch):
     code, out, err = run(capsys, ["quotient", "--N", "201"])
     assert (code, err) == (0, "")
     assert '"exact_closed_forms": true' in out
-    # from N = 518 a product k_a k_b of column sizes leaves the float range
+    # from N = 518 a product k_a k_b of column sizes leaves the float range,
+    # refused before any pair is counted
+    def refuse(M, distance):
+        raise AssertionError("counted before the overflow refusal")
+
+    monkeypatch.setattr(quotient, "_pair_counts", refuse)
     monkeypatch.setenv("REVIVAL_MAX_M", "600")
     assert run(capsys, ["quotient", "--N", "600"]) == (
         1, "", "error: the products of the column sizes C(599, n) overflow a float\n")
@@ -1031,3 +1052,19 @@ def test_verify_above_oracle_scale_builds_no_state(capsys, monkeypatch, argv):
     monkeypatch.setattr(walk, "evolve_graph", no_state)
     monkeypatch.setattr(walk, "fwht", no_state)
     assert run(capsys, argv) == unpatched
+
+
+def _readme_commands():
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("fracrevival ")]
+
+
+def test_readme_lists_the_command_line_examples():
+    assert len(_readme_commands()) == 7
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_line_examples_exit_zero(capsys, tmp_path, argv):
+    argv = [str(tmp_path / Path(arg).name) if prev == "--out" else arg for prev, arg in zip([None] + argv, argv)]
+    code, _, err = run(capsys, argv)
+    assert (code, err) == (0, "")

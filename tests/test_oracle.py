@@ -16,10 +16,10 @@ ORACLE_NAMES = {
     "remove_global_phase", "hopping_matrix", "lift", "weight_masks",
 }
 PUBLIC = [
-    "BALANCED_FR", "ChainOperator", "ChainSpec", "ColumnBasis", "ColumnState", "InvalidInputError", "NONE",
+    "BALANCED_FR", "ChainSpec", "ColumnBasis", "ColumnState", "InvalidInputError", "NONE",
     "PST_ONLY", "ResourceLimitError", "RevivalCertificate", "SchemeOperator", "WalkSpec",
     "antipodal_amplitudes", "antipodal_scan", "appendix_phase_check", "apply_adjacency", "basis_state",
-    "build_hamiltonian", "certify_numeric", "chain_evolve", "check_conditions", "corner_state", "couplings",
+    "build_hamiltonian", "certify_numeric", "chain_evolve", "check_conditions", "corner_state",
     "dense_oracle_evolve", "equivalence_check", "evolve_graph", "fwht", "graph_eigenvalue", "graph_eigenvalues",
     "hamming_distance", "intersection_number", "krawtchouk", "krawtchouk_hypergeometric", "lift", "project",
     "quotient_matrix_elements", "remove_global_phase", "scan_balanced_fr", "site_state", "spectrum_table",

@@ -70,10 +70,10 @@ def test_quotient_elements_closed_forms(N):
     table = quotient.quotient_matrix_elements(N)
     assert table.exact_closed_forms
     assert table.max_closed_form_deviation < 1e-12
-    c = chain.couplings(chain.ChainSpec(N=N, alpha=1.0, beta=1.0))
-    np.testing.assert_allclose(table.a1_upper, 2 * c.J, atol=1e-13)
+    h = chain.build_hamiltonian(chain.ChainSpec(N=N, alpha=1.0, beta=1.0))
+    np.testing.assert_allclose(table.a1_upper, 2 * np.diag(h, 1), atol=1e-13)  # beta J_n
     if N >= 3:
-        np.testing.assert_allclose(table.a2_upper, 2 * c.J[:-1] * c.J[1:], atol=1e-13)
+        np.testing.assert_allclose(table.a2_upper, 2 * np.diag(h, 2), atol=1e-13)  # alpha J_n J_{n+1}
         np.testing.assert_allclose(table.a2_lower, table.a2_upper, atol=1e-15)
 
 
@@ -92,12 +92,13 @@ def test_pair_counts_equal_the_brute_force_intersection_numbers(M):
     # C(M, b) vertices x of weight b, each with p^b_{a,i} vertices y of weight a at distance i
     for i in (1, 2, 4):
         counts = quotient._pair_counts(M, i)
+        assert all(abs(a - b) <= i and (a - b - i) % 2 == 0 for a, b in counts)  # only the band is stored
         for b in range(M + 1):
             table = oracle.intersection_table(b, M)
             for a in range(M + 1):
                 expected = comb(M, b) * int(table[a, i]) if i <= M else 0
-                assert type(counts[a][b]) is int
-                assert counts[a][b] == expected, (M, i, a, b)
+                assert type(counts.get((a, b), 0)) is int
+                assert counts.get((a, b), 0) == expected, (M, i, a, b)
 
 
 @pytest.mark.parametrize("N", range(15, 28))
