@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import chain as chain_mod
-from . import quotient, revival, walk
+from . import quotient, revival, scheme, walk
 from .errors import InvalidInputError, ResourceLimitError
 
 SCHEMA_VERSION = 1
@@ -32,14 +32,13 @@ DEFAULT_SCAN_GRID = 2000
 # values: "%.17g" % x is format(x, ".17g"), so each row has the bytes
 # _render_json gives it.  A scan row is one template.  An amplitude row is
 # head % system, its index, and tail % (re, im, probability) formatted once
-# per distinct bit pattern in a block (see _amplitude_blocks).
+# per value (see _amplitude_blocks).
 ROWS_PER_BLOCK = 4096
 AMPLITUDE_CSV = ("%s,", ",%.17g,%.17g,%.17g\n")
 AMPLITUDE_JSON = (
     '    {\n      "system": "%s",\n      "index": ',
     ',\n      "re": %.17g,\n      "im": %.17g,\n      "probability": %.17g\n    }',
 )
-_PATTERN = np.dtype((np.void, 16))  # the 16 bytes of one complex128, compared as bytes
 SCAN_CSV_ROW = "%.17g,%.17g,%.17g,%.17g\n"
 _TABLE = "\0table"  # stands in for the amplitude list while the JSON envelope is rendered
 
@@ -157,59 +156,50 @@ def _resolve_tau(args: argparse.Namespace) -> float:
     return tau
 
 
-def _amplitude_blocks(states, layout: tuple[str, str], sep: str = ""):
-    """Amplitude rows of each (system, psi, first index) state, ROWS_PER_BLOCK a piece, joined by sep.
+def _amplitude_blocks(tables, layout: tuple[str, str], sep: str = ""):
+    """Amplitude rows of each (system, values, value index per row, first index) table, ROWS_PER_BLOCK a piece.
 
-    The corner-started walk stays in the (M+1)-dimensional column space, so
-    a block holds few distinct amplitudes.  np.unique over the 16-byte
-    patterns of a block finds them; re, im and the probability are formatted
-    once per pattern, and a row is head, index and its pattern's tail.  The
-    key is the bits, never the value: 0.0 == -0.0, yet they print as "0" and
-    "-0".  The probability is abs(c) ** 2 on the Python complex, equal bit
-    for bit to numpy's scalar abs(c) ** 2; the vectorized np.abs(psi) ** 2
-    differs in the last bits.  Tails carry over to the next block until
-    ROWS_PER_BLOCK are kept, so working memory stays O(ROWS_PER_BLOCK).  The
-    states must be finite: the caller checks them before the first byte.
+    Row r of a table is numbered first + r and holds values[rows[r]]; the
+    pieces are joined by sep.  re, im and the probability are formatted once
+    per value, and a row is head, index and its value's tail: a graph report
+    has one value per weight class of the corner-started walk, M + 1 in all,
+    and a chain report one per site.  The probability is abs(c) ** 2 on the
+    Python complex, equal bit for bit to numpy's scalar abs(c) ** 2; the
+    vectorized np.abs(psi) ** 2 differs in the last bits.  Beyond the tables,
+    working memory is O(ROWS_PER_BLOCK).  The values must be finite: the
+    caller checks them before the first byte.
     """
     head_template, tail_template = layout
     lead = ""
-    for system, psi, first in states:
+    for system, values, rows, first in tables:
         head = head_template % system
-        tails = {}
-        for lo in range(0, len(psi), ROWS_PER_BLOCK):
-            block = np.ascontiguousarray(psi[lo:lo + ROWS_PER_BLOCK], dtype=np.complex128)
-            patterns, index, inverse = np.unique(block.view(_PATTERN), return_index=True, return_inverse=True)
-            if len(tails) >= ROWS_PER_BLOCK:
-                tails.clear()
-            block_tails = []
-            for key, c in zip(patterns.tolist(), block[index].tolist()):
-                tail = tails.get(key)
-                if tail is None:
-                    tail = tails[key] = tail_template % (c.real, c.imag, abs(c) ** 2)
-                block_tails.append(tail)
-            indices = range(first + lo, first + lo + len(block))
-            yield lead + sep.join([f"{head}{i}{block_tails[k]}" for i, k in zip(indices, inverse.tolist())])
+        tails = [tail_template % (c.real, c.imag, abs(c) ** 2) for c in values.tolist()]
+        for lo in range(0, len(rows), ROWS_PER_BLOCK):
+            block = rows[lo:lo + ROWS_PER_BLOCK].tolist()
+            yield lead + sep.join([f"{head}{i}{tails[k]}" for i, k in enumerate(block, first + lo)])
             lead = sep
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     tau = _resolve_tau(args)
-    states = []
+    tables = []
     quotient_dev = None
     leakage = None
     if args.target in ("graph", "both"):
+        # vertex z holds the amplitude of its weight class: one byte per vertex, no 2^M state
         spec = walk.WalkSpec(M=args.N - 1, alpha=args.alpha, beta=args.beta)
-        psi_g = walk.evolve_graph(spec, walk.corner_state(spec.M), tau)
-        states.append(("graph", psi_g, 0))
+        psi_w = walk.column_amplitudes(spec, tau)
+        weights = scheme.hamming_weights(spec.M)
+        tables.append(("graph", psi_w, weights, 0))
     if args.target in ("chain", "both"):
         spec_c = chain_mod.ChainSpec(N=args.N, alpha=args.alpha, beta=args.beta)
         psi_c = chain_mod.chain_evolve(spec_c, chain_mod.site_state(args.N, 1), tau)
-        states.append(("chain", psi_c, 1))
+        tables.append(("chain", psi_c, np.arange(args.N), 1))
     if args.target == "both":
-        report = quotient.compare_states(args.N, args.alpha, args.beta, tau, psi_g, psi_c)
+        report = quotient.compare_states(args.N, args.alpha, args.beta, tau, psi_w[weights], psi_c)
         quotient_dev = report.max_deviation
         leakage = report.leakage
-    _require_finite(*[psi for _, psi, _ in states])
+    _require_finite(*[values for _, values, _, _ in tables])
 
     if args.json:
         payload = {
@@ -222,12 +212,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             "leakage": leakage,
         }
         head, tail = (_render_json(payload) + "\n").split(json.dumps(_TABLE))
-        pieces = [head + "[\n"], _amplitude_blocks(states, AMPLITUDE_JSON, ",\n"), ["\n  ]" + tail]
+        pieces = [head + "[\n"], _amplitude_blocks(tables, AMPLITUDE_JSON, ",\n"), ["\n  ]" + tail]
     else:
         tail = ""
         if quotient_dev is not None:
             tail = f"# quotient_max_deviation = {_fmt(quotient_dev)}\n# leakage = {_fmt(leakage)}\n"
-        pieces = ["system,index,re,im,probability\n"], _amplitude_blocks(states, AMPLITUDE_CSV), [tail]
+        pieces = ["system,index,re,im,probability\n"], _amplitude_blocks(tables, AMPLITUDE_CSV), [tail]
     _write(itertools.chain(*pieces), args)
     return 0
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import copysign, gcd, inf, isfinite, pi
+from math import copysign, gcd, inf, isfinite, isnan, pi
 
 import numpy as np
 
@@ -146,10 +146,12 @@ class ScanOutcome:
 def tau_grid(tau_min: float, tau_max: float, steps: int) -> np.ndarray:
     """steps + 1 evenly spaced times from tau_min to tau_max, inclusive.
 
-    Refused before the grid is allocated, in this order: an empty range
-    (tau_max not above tau_min, or NaN), fewer than one step, more than
+    Refused before the grid is allocated, in this order: a NaN bound, an
+    empty range (tau_max not above tau_min), fewer than one step, more than
     MAX_SCAN_STEPS steps, and a width tau_max - tau_min that is not finite.
     """
+    if isnan(tau_min) or isnan(tau_max):
+        raise InvalidInputError(f"tau bounds must be numbers, got [{tau_min}, {tau_max}]")
     if not (tau_max > tau_min):
         raise InvalidInputError(f"empty tau range [{tau_min}, {tau_max}]")
     if steps < 1:

@@ -9,12 +9,15 @@ deterministic output: the transform fuses its butterfly stages in pairs,
 ceil(M/2) passes over memory instead of M, in the radix-2 order, so the output
 bits do not depend on the fusion.
 
-The corner-started walk stays in the column space of the Hamming scheme, so
-the two amplitudes a verdict needs, at the start corner and at the antipode,
-come from a closed form in O(M) per time (antipodal_scan, and
-antipodal_amplitudes as its one-point case), with no 2^M state.  The full
-evolution serves the evolve reports and, at oracle scale, the cross-check of
-that closed form.
+The corner-started walk stays in the column space of the Hamming scheme:
+every vertex of weight w carries the same amplitude
+psi_w = 2^-M sum_s K_s(w) exp(-i tau E_s).  column_amplitudes gives the
+M + 1 values psi_w, from which the evolve report writes its 2^M rows, and
+the two a verdict needs, at the start corner and at the antipode, come from
+the same closed form in O(M) per time (antipodal_scan, and
+antipodal_amplitudes as its one-point case).  None of them builds a 2^M
+state.  The full evolution is the engine for general states and, at oracle
+scale, the cross-check of those closed forms.
 """
 
 from __future__ import annotations
@@ -124,6 +127,20 @@ def evolve_graph(spec: WalkSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
     transformed = fwht(psi0)
     transformed *= phases[scheme.hamming_weights(spec.M)]
     return fwht(transformed)
+
+
+def column_amplitudes(spec: WalkSpec, tau: float) -> np.ndarray:
+    """The corner-started walk's amplitude psi_w on every vertex of weight w = 0..M, at one time.
+
+    psi_w = 2^-M sum_s K_s(w) exp(-i tau E_s), with K_s(w) from
+    kraw.krawtchouk_matrix: M + 1 values at O(M^2), with no 2^M state.
+    evolve_graph(spec, corner_state(M), tau) equals psi[hamming_weights(M)]
+    within rounding.  The size guard applies as for evolution, since a report
+    of these values has 2^M rows; then phase_table makes its refusals.
+    """
+    check_size(spec.M)
+    phases = phase_table(spec, tau)
+    return phases @ kraw.krawtchouk_matrix(spec.M) / 2.0 ** spec.M
 
 
 def dense_hamiltonian(spec: WalkSpec) -> np.ndarray:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracrevival import chain, cli, quotient, revival, walk
+from fracrevival import chain, cli, quotient, revival, scheme, walk
 from fracrevival.errors import InvalidInputError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -288,6 +288,18 @@ def test_scan_infinite_range_exits_one_without_warnings(capsys, window):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: tau range [") and err.endswith("must have a finite width\n")
+
+
+@pytest.mark.parametrize("window, bounds", [(["--tau-max", "nan"], (0.0, float("nan"))),
+                                           (["--tau-min", "nan"], (float("nan"), 2.0 * pi))])
+def test_scan_nan_tau_bound_exits_one(capsys, window, bounds):
+    # a NaN bound is not a number, not an empty range
+    message = f"tau bounds must be numbers, got [{bounds[0]}, {bounds[1]}]"
+    argv = ["scan", "--N", "4", "--alpha", "1", "--beta", "1"] + window
+    assert run_without_warnings(capsys, argv) == (1, "", f"error: {message}\n")
+    with pytest.raises(InvalidInputError) as refused:
+        revival.tau_grid(*bounds, 5)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("tau_max, steps, message", [
@@ -758,19 +770,20 @@ def test_cached_parser_carries_no_state(tmp_path, capsys):
 # The per-value serialization the table reports had before they were written
 # from one template per row: _fmt per CSV field, a dict per JSON row through
 # _render_json.  Kept here as the reference the streamed bytes must equal.
+# Graph vertex z holds the column amplitude of its weight class.
 def reference_evolve(N, alpha, beta, tau, target, as_json):
     rows = []
     if target in ("graph", "both"):
         spec = walk.WalkSpec(M=N - 1, alpha=alpha, beta=beta)
-        psi = walk.evolve_graph(spec, walk.corner_state(spec.M), tau)
-        rows += [["graph", i, a.real, a.imag, abs(a) ** 2] for i, a in enumerate(psi)]
+        psi_g = walk.column_amplitudes(spec, tau)[scheme.hamming_weights(spec.M)]
+        rows += [["graph", i, a.real, a.imag, abs(a) ** 2] for i, a in enumerate(psi_g)]
     if target in ("chain", "both"):
         spec_c = chain.ChainSpec(N=N, alpha=alpha, beta=beta)
-        psi = chain.chain_evolve(spec_c, chain.site_state(N, 1), tau)
-        rows += [["chain", i + 1, a.real, a.imag, abs(a) ** 2] for i, a in enumerate(psi)]
+        psi_c = chain.chain_evolve(spec_c, chain.site_state(N, 1), tau)
+        rows += [["chain", i + 1, a.real, a.imag, abs(a) ** 2] for i, a in enumerate(psi_c)]
     quotient_dev = leakage = None
     if target == "both":
-        report = quotient.equivalence_check(N, alpha, beta, tau)
+        report = quotient.compare_states(N, alpha, beta, tau, psi_g, psi_c)
         quotient_dev, leakage = report.max_deviation, report.leakage
     if as_json:
         payload = {
@@ -843,13 +856,13 @@ def test_evolve_bytes_match_reference_for_any_couplings(N, alpha, beta, tau, tar
 @pytest.mark.parametrize("as_json", [False, True])
 def test_evolve_keeps_signed_zeros_apart(capsys, monkeypatch, as_json):
     # 0.0 == -0.0 and they hash alike, yet "%.17g" prints them as "0" and "-0"
-    psi = np.zeros(2 ** 13, dtype=complex)
-    psi[0], psi[5000] = 0.6, 0.8j
+    psi = np.zeros(14, dtype=complex)
+    psi[0], psi[7] = 0.6, 0.8j
     psi[1] = complex(-0.0, 0.0)
     psi[2] = complex(-0.0, -0.0)
-    psi[4097] = complex(0.0, -0.0)
-    psi[6000] = complex(-0.0, 0.0)
-    monkeypatch.setattr(walk, "evolve_graph", lambda *args: psi.copy())
+    psi[4] = complex(0.0, -0.0)
+    psi[9] = complex(-0.0, 0.0)
+    monkeypatch.setattr(walk, "column_amplitudes", lambda *args: psi.copy())
     argv = ["evolve", "--N", "14", "--alpha", "1", "--beta", "1", "--tau", "0.5"]
     argv += ["--json"] if as_json else []
     expected = reference_evolve(14, 1.0, 1.0, 0.5, "graph", as_json)
@@ -863,6 +876,26 @@ def test_scan_bytes_match_per_value_reference(capsys, N, alpha, beta):
     argv = ["scan", "--N", str(N), "--alpha", repr(alpha), "--beta", repr(beta),
             "--tau-min", "0.25", "--tau-max", "7.5", "--steps", str(steps)]
     assert run(capsys, argv) == (0, reference_scan(N, alpha, beta, 0.25, 7.5, steps), "")
+
+
+def test_evolve_builds_no_state_and_writes_one_tail_per_weight_class(capsys, monkeypatch):
+    def no_state(*args):
+        raise AssertionError("a 2^M complex state on the evolve path")
+
+    monkeypatch.setattr(walk, "evolve_graph", no_state)
+    monkeypatch.setattr(walk, "fwht", no_state)
+    M = 13
+    code, out, err = run(capsys, ["evolve", "--N", str(M + 1), "--alpha", "0.83", "--beta", "-1.21",
+                                  "--tau", "1.7", "--target", "both"])
+    assert (code, err) == (0, "")
+    rows = [line.split(",", 2) for line in out.splitlines() if line.startswith("graph,")]
+    assert [int(index) for _, index, _ in rows] == list(range(2 ** M))
+    weights = scheme.hamming_weights(M)
+    tails = {}
+    for _, index, tail in rows:
+        tails.setdefault(int(weights[int(index)]), set()).add(tail)
+    assert sorted(tails) == list(range(M + 1))
+    assert all(len(tail) == 1 for tail in tails.values())
 
 
 class PieceRecorder(io.StringIO):
@@ -887,29 +920,25 @@ def test_evolve_report_is_written_in_blocks(monkeypatch):
     assert max(recorder.sizes) < 200 * cli.ROWS_PER_BLOCK < len(recorder.getvalue()) / 3
 
 
-def evolve_peak_bytes(tmp_path, monkeypatch, M, as_json):
-    """tracemalloc's peak over one evolve --out, the state built before it."""
-    psi = walk.evolve_graph(walk.WalkSpec(M=M, alpha=0.83, beta=-1.21), walk.corner_state(M), 1.7)
+def evolve_peak_bytes(tmp_path, M, as_json):
+    """tracemalloc's peak over one evolve --out, and the bytes of a 2^M complex state."""
     argv = ["evolve", "--N", str(M + 1), "--alpha", "0.83", "--beta", "-1.21", "--tau", "1.7",
             "--out", str(tmp_path / "report")] + (["--json"] if as_json else [])
-    with monkeypatch.context() as patch:
-        patch.setattr(walk, "corner_state", lambda M: None)
-        patch.setattr(walk, "evolve_graph", lambda *args: psi)
-        tracemalloc.start()
-        try:
-            assert cli.main(argv) == 0
-            return tracemalloc.get_traced_memory()[1], psi.nbytes
-        finally:
-            tracemalloc.stop()
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1], np.dtype(complex).itemsize << M
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("as_json", [False, True])
 def test_evolve_report_memory_stays_within_a_block(tmp_path, monkeypatch, as_json):
     # small blocks, so that a block's rows and tails weigh little next to the state
     monkeypatch.setattr(cli, "ROWS_PER_BLOCK", 256)
-    small_peak, small_state = evolve_peak_bytes(tmp_path, monkeypatch, 12, as_json)
-    large_peak, large_state = evolve_peak_bytes(tmp_path, monkeypatch, 15, as_json)
-    # only the finiteness check, a byte per amplitude, grows with M
+    small_peak, small_state = evolve_peak_bytes(tmp_path, 12, as_json)
+    large_peak, large_state = evolve_peak_bytes(tmp_path, 15, as_json)
+    # only the weight table, a byte per vertex, grows with M
     assert large_peak - small_peak < (large_state - small_state) / 4
 
 
@@ -925,25 +954,25 @@ def test_evolve_both_evolves_each_system_once(capsys, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(walk, "evolve_graph")
+    count(walk, "column_amplitudes")
     count(chain, "chain_evolve")
     code, _, _ = run(capsys, ["evolve", "--N", "6", "--alpha", "1", "--beta", "1", "--tau", "0.5",
                               "--target", "both"])
     assert code == 0
-    assert calls == ["evolve_graph", "chain_evolve"]
+    assert calls == ["column_amplitudes", "chain_evolve"]
 
 
 @pytest.mark.parametrize("target", ["graph", "both"])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_non_finite_amplitude_writes_nothing(tmp_path, capsys, monkeypatch, target, as_json):
-    real = walk.evolve_graph
+    real = walk.column_amplitudes
 
     def poisoned(*args):
         psi = real(*args)
         psi[-1] = np.nan
         return psi
 
-    monkeypatch.setattr(walk, "evolve_graph", poisoned)
+    monkeypatch.setattr(walk, "column_amplitudes", poisoned)
     argv = ["evolve", "--N", "15", "--alpha", "1", "--beta", "1", "--tau", "0.5",
             "--target", target] + (["--json"] if as_json else [])
     assert run(capsys, argv) == (1, "", "error: non-finite value in report\n")

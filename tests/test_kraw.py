@@ -58,6 +58,13 @@ def test_general_q_recurrence():
     assert oracle.krawtchouk(1, 0, 5, q=4) == 15
 
 
+def test_krawtchouk_matrix_equals_the_exact_values():
+    for M in range(31):
+        table = kraw.krawtchouk_matrix(M)
+        assert table.shape == (M + 1, M + 1)
+        assert all(table[s, w] == oracle.krawtchouk(s, w, M) for s in range(M + 1) for w in range(M + 1))
+
+
 def test_degree_out_of_range():
     with pytest.raises(InvalidInputError):
         oracle.krawtchouk(-1, 0, 4)

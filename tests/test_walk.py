@@ -4,10 +4,10 @@ from math import pi, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracrevival import oracle, walk
+from fracrevival import oracle, scheme, walk
 from fracrevival.errors import InvalidInputError, ResourceLimitError
 
 
@@ -235,6 +235,22 @@ def test_closed_form_amplitudes_match_fwht_property(M, alpha, beta, tau):
     assert_closed_form_matches_fwht(walk.WalkSpec(M=M, alpha=alpha, beta=beta), tau)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    M=st.integers(1, 14),
+    alpha=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    beta=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    tau=st.floats(0.0, 8.0),
+)
+def test_column_amplitudes_match_fwht_evolution(M, alpha, beta, tau):
+    # the FWHT evolution of the corner state is the oracle of the column amplitudes
+    assume(alpha != 0.0 or beta != 0.0)
+    spec = walk.WalkSpec(M=M, alpha=alpha, beta=beta)
+    psi = walk.evolve_graph(spec, walk.corner_state(M), tau)
+    gathered = walk.column_amplitudes(spec, tau)[scheme.hamming_weights(M)]
+    assert np.abs(gathered - psi).max() < 1e-12
+
+
 def test_antipodal_scan_refuses_overflowing_phase():
     spec = walk.WalkSpec(M=3, alpha=1e300, beta=1e300)
     with pytest.raises(InvalidInputError, match="overflows"):
@@ -266,6 +282,8 @@ def test_resource_guard_and_env_override(monkeypatch):
         walk.evolve_graph(walk.WalkSpec(M=27, alpha=1.0, beta=1.0), np.zeros(1), 1.0)
     with pytest.raises(ResourceLimitError):
         walk.corner_state(27)  # refused before the 2 GiB start state is allocated
+    with pytest.raises(ResourceLimitError):
+        walk.column_amplitudes(walk.WalkSpec(M=27, alpha=1.0, beta=1.0), 1.0)  # its report has 2^27 rows
 
 
 def test_remove_global_phase():
