@@ -32,8 +32,11 @@ DEFAULT_SCAN_GRID = 2000
 # values: "%.17g" % x is format(x, ".17g"), so each row has the bytes
 # _render_json gives it.  A scan row is one template.  An amplitude row is
 # head % system, its index, and tail % (re, im, probability) formatted once
-# per value (see _amplitude_blocks).
+# per value (see _amplitude_blocks).  The index is written from the two
+# tables below (see _index_pieces).
 ROWS_PER_BLOCK = 4096
+_DIGITS = [str(i) for i in range(1000)]
+_PADDED = ["%03d" % i for i in range(1000)]
 AMPLITUDE_CSV = ("%s,", ",%.17g,%.17g,%.17g\n")
 AMPLITUDE_JSON = (
     '    {\n      "system": "%s",\n      "index": ',
@@ -156,6 +159,25 @@ def _resolve_tau(args: argparse.Namespace) -> float:
     return tau
 
 
+def _index_pieces(a: int, b: int):
+    """The decimal text of each index in [a, b) as a high and a low part, str(i) == high + low.
+
+    Below 1000 the high part is empty and the low part _DIGITS[i]; above, the
+    high part is str(i // 1000) and the low part _PADDED[i % 1000].  Both come
+    as runs of at most 1000 indices that share one high part, so no Python
+    code runs per index.
+    """
+    highs, lows = [], []
+    start = a
+    while start < b:
+        thousands, low = divmod(start, 1000)
+        run = min(b - start, 1000 - low)
+        highs.append(itertools.repeat(str(thousands) if thousands else "", run))
+        lows.append((_PADDED if thousands else _DIGITS)[low:low + run])
+        start += run
+    return itertools.chain.from_iterable(highs), itertools.chain.from_iterable(lows)
+
+
 def _amplitude_blocks(tables, layout: tuple[str, str], sep: str = ""):
     """Amplitude rows of each (system, values, value index per row, first index) table, ROWS_PER_BLOCK a piece.
 
@@ -163,8 +185,10 @@ def _amplitude_blocks(tables, layout: tuple[str, str], sep: str = ""):
     pieces are joined by sep.  re, im and the probability are formatted once
     per value, and a row is head, index and its value's tail: a graph report
     has one value per weight class of the corner-started walk, M + 1 in all,
-    and a chain report one per site.  The probability is abs(c) ** 2 on the
-    Python complex, equal bit for bit to numpy's scalar abs(c) ** 2; the
+    and a chain report one per site.  A block is one flat list of four texts
+    per row (sep and head, the index's high and low parts, the tail), filled
+    by slice assignment and joined once.  The probability is abs(c) ** 2 on
+    the Python complex, equal bit for bit to numpy's scalar abs(c) ** 2; the
     vectorized np.abs(psi) ** 2 differs in the last bits.  Beyond the tables,
     working memory is O(ROWS_PER_BLOCK).  The values must be finite: the
     caller checks them before the first byte.
@@ -176,7 +200,11 @@ def _amplitude_blocks(tables, layout: tuple[str, str], sep: str = ""):
         tails = [tail_template % (c.real, c.imag, abs(c) ** 2) for c in values.tolist()]
         for lo in range(0, len(rows), ROWS_PER_BLOCK):
             block = rows[lo:lo + ROWS_PER_BLOCK].tolist()
-            yield lead + sep.join([f"{head}{i}{tails[k]}" for i, k in enumerate(block, first + lo)])
+            pieces = [sep + head] * (4 * len(block))
+            pieces[0] = lead + head
+            pieces[1::4], pieces[2::4] = _index_pieces(first + lo, first + lo + len(block))
+            pieces[3::4] = map(tails.__getitem__, block)
+            yield "".join(pieces)
             lead = sep
 
 
@@ -196,7 +224,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         psi_c = chain_mod.chain_evolve(spec_c, chain_mod.site_state(args.N, 1), tau)
         tables.append(("chain", psi_c, np.arange(args.N), 1))
     if args.target == "both":
-        report = quotient.compare_states(args.N, args.alpha, args.beta, tau, psi_w[weights], psi_c)
+        report = quotient.compare_states(args.N, args.alpha, args.beta, tau, quotient.column_state(psi_w), psi_c)
         quotient_dev = report.max_deviation
         leakage = report.leakage
     _require_finite(*[values for _, values, _, _ in tables])

@@ -83,6 +83,19 @@ def project(basis: ColumnBasis, psi: np.ndarray) -> ColumnState:
     return ColumnState(coords=coords, leakage=leakage)
 
 
+def column_state(psi_w: np.ndarray) -> ColumnState:
+    """project of the state holding psi_w[w] on every weight-w vertex, without that 2^M state.
+
+    c_w = sqrt(C(M, w)) psi_w, and the leakage is still the squared norm
+    outside the span, sum_w C(M, w) |psi_w|^2 - sum |c_w|^2.
+    """
+    psi_w = np.asarray(psi_w, dtype=complex)
+    sizes = ColumnBasis(len(psi_w)).sizes.astype(float)
+    coords = np.sqrt(sizes) * psi_w
+    leakage = float(sizes @ np.abs(psi_w) ** 2 - np.sum(np.abs(coords) ** 2))
+    return ColumnState(coords=coords, leakage=leakage)
+
+
 def _pair_counts(M: int, distance: int) -> dict[tuple[int, int], int]:
     """counts[a, b] = ordered vertex pairs (y, x) with |y| = a, |x| = b, d(x, y) = distance.
 
@@ -251,24 +264,24 @@ def equivalence_check(N: int, alpha: float, beta: float, tau: float) -> Equivale
     chain_side = chain_mod.chain_evolve(
         chain_mod.ChainSpec(N=N, alpha=alpha, beta=beta), chain_mod.site_state(N, 1), tau
     )
-    return compare_states(N, alpha, beta, tau, evolved, chain_side)
+    return compare_states(N, alpha, beta, tau, project(ColumnBasis(N), evolved), chain_side)
 
 
 def compare_states(
-    N: int, alpha: float, beta: float, tau: float, graph_state: np.ndarray, chain_state: np.ndarray
+    N: int, alpha: float, beta: float, tau: float, graph_columns: ColumnState, chain_state: np.ndarray
 ) -> EquivalenceReport:
     """Compare the corner-started walk and the site-1 chain, both already evolved to tau.
 
-    The chain side is multiplied by exp(+i tau alpha (N-1)/4), compensating
-    the constant (alpha/4)(N-1) I dropped when the graph Hamiltonian was
-    reduced to (alpha/2)A_2 + (beta/2)A_1; a phase that overflows is refused.
+    The walk comes as its column coordinates (project or column_state).  The
+    chain side is multiplied by exp(+i tau alpha (N-1)/4), compensating the
+    constant (alpha/4)(N-1) I dropped when the graph Hamiltonian was reduced
+    to (alpha/2)A_2 + (beta/2)A_1; a phase that overflows is refused.
     """
     shift = tau * alpha * (N - 1) / 4.0
     if not isfinite(shift):
         raise InvalidInputError("the chain phase tau * alpha * (N - 1) / 4 overflows a float")
-    state = project(ColumnBasis(N), graph_state)
     chain_side = np.exp(1j * shift) * chain_state
-    dev = float(np.abs(state.coords - chain_side).max())
+    dev = float(np.abs(graph_columns.coords - chain_side).max())
     return EquivalenceReport(
-        N=N, alpha=alpha, beta=beta, tau=tau, max_deviation=dev, leakage=state.leakage
+        N=N, alpha=alpha, beta=beta, tau=tau, max_deviation=dev, leakage=graph_columns.leakage
     )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracrevival import chain, cli, quotient, revival, scheme, walk
@@ -770,12 +770,14 @@ def test_cached_parser_carries_no_state(tmp_path, capsys):
 # The per-value serialization the table reports had before they were written
 # from one template per row: _fmt per CSV field, a dict per JSON row through
 # _render_json.  Kept here as the reference the streamed bytes must equal.
-# Graph vertex z holds the column amplitude of its weight class.
+# Graph vertex z holds the column amplitude of its weight class, and the
+# --target both comparison reads the column coordinates of those amplitudes.
 def reference_evolve(N, alpha, beta, tau, target, as_json):
     rows = []
     if target in ("graph", "both"):
         spec = walk.WalkSpec(M=N - 1, alpha=alpha, beta=beta)
-        psi_g = walk.column_amplitudes(spec, tau)[scheme.hamming_weights(spec.M)]
+        psi_w = walk.column_amplitudes(spec, tau)
+        psi_g = psi_w[scheme.hamming_weights(spec.M)]
         rows += [["graph", i, a.real, a.imag, abs(a) ** 2] for i, a in enumerate(psi_g)]
     if target in ("chain", "both"):
         spec_c = chain.ChainSpec(N=N, alpha=alpha, beta=beta)
@@ -783,7 +785,7 @@ def reference_evolve(N, alpha, beta, tau, target, as_json):
         rows += [["chain", i + 1, a.real, a.imag, abs(a) ** 2] for i, a in enumerate(psi_c)]
     quotient_dev = leakage = None
     if target == "both":
-        report = quotient.compare_states(N, alpha, beta, tau, psi_g, psi_c)
+        report = quotient.compare_states(N, alpha, beta, tau, quotient.column_state(psi_w), psi_c)
         quotient_dev, leakage = report.max_deviation, report.leakage
     if as_json:
         payload = {
@@ -828,6 +830,31 @@ def test_evolve_bytes_match_per_value_reference(capsys, N, alpha, beta, target, 
     argv = ["evolve", "--N", str(N), "--alpha", repr(alpha), "--beta", repr(beta),
             "--tau", repr(tau), "--target", target] + (["--json"] if as_json else [])
     assert run(capsys, argv) == (0, reference_evolve(N, alpha, beta, tau, target, as_json), "")
+
+
+# N = 18 numbers graph rows up to 131071, past every digit boundary to six digits
+@pytest.mark.parametrize("as_json", [False, True])
+def test_evolve_bytes_match_reference_past_five_digit_indices(capsys, as_json):
+    argv = ["evolve", "--N", "18", "--alpha", "0.83", "--beta", "-1.21", "--tau", "1.7",
+            "--target", "both"] + (["--json"] if as_json else [])
+    assert run(capsys, argv) == (0, reference_evolve(18, 0.83, -1.21, 1.7, "both", as_json), "")
+
+
+def around(edge):
+    # [a, b) holds both edge - 1 and edge
+    return st.tuples(st.integers(max(edge - 2500, 0), edge - 1), st.integers(edge + 1, edge + 2500))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounds=st.one_of(
+    st.integers(0, 2 * 10 ** 6).flatmap(lambda a: st.tuples(st.just(a), st.integers(a, min(a + 5000, 2 * 10 ** 6)))),
+    *[around(edge) for edge in (1000, 10 ** 4, 10 ** 5, 10 ** 6)],
+))
+@example(bounds=(0, 2 * 10 ** 6))
+def test_index_pieces_spell_every_index(bounds):
+    a, b = bounds
+    highs, lows = cli._index_pieces(a, b)
+    assert list(map(str.__add__, highs, lows)) == [str(i) for i in range(a, b)]
 
 
 def run_quietly(argv):
@@ -884,6 +911,7 @@ def test_evolve_builds_no_state_and_writes_one_tail_per_weight_class(capsys, mon
 
     monkeypatch.setattr(walk, "evolve_graph", no_state)
     monkeypatch.setattr(walk, "fwht", no_state)
+    monkeypatch.setattr(quotient, "project", no_state)
     M = 13
     code, out, err = run(capsys, ["evolve", "--N", str(M + 1), "--alpha", "0.83", "--beta", "-1.21",
                                   "--tau", "1.7", "--target", "both"])

@@ -5,7 +5,7 @@ from math import comb, pi, sqrt
 import numpy as np
 import pytest
 
-from fracrevival import chain, oracle, quotient, walk
+from fracrevival import chain, oracle, quotient, scheme, walk
 from fracrevival.errors import InvalidInputError, ResourceLimitError
 
 
@@ -41,6 +41,18 @@ def test_project_norm_bookkeeping():
     state = quotient.project(basis, psi)
     total = np.sum(np.abs(state.coords) ** 2) + state.leakage
     assert total == pytest.approx(np.linalg.norm(psi) ** 2, abs=1e-11)
+
+
+@pytest.mark.parametrize("M", [1, 4, 13])
+def test_column_state_equals_the_projection_of_the_gathered_state(M):
+    rng = np.random.default_rng(M)
+    psi_w = rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1)
+    psi_w /= np.sqrt(quotient.ColumnBasis(M + 1).sizes @ np.abs(psi_w) ** 2)  # a unit state
+    state = quotient.column_state(psi_w)
+    oracle_state = quotient.project(quotient.ColumnBasis(M + 1), psi_w[scheme.hamming_weights(M)])
+    np.testing.assert_allclose(state.coords, oracle_state.coords, rtol=1e-13)
+    assert abs(state.leakage) < 1e-14
+    assert abs(state.leakage - oracle_state.leakage) < 1e-13
 
 
 def test_project_dimension_mismatch():
