@@ -3,8 +3,9 @@
 Krawtchouk values in exact rationals, the spectrum table, single walk
 eigenvalues, the action of each distance class, intersection numbers and the
 A_i A_1 product rule in integers, the dense walk eigendecomposition, the
-chain's hopping matrix and the lift of column coordinates.  No production
-module imports this one; the package re-exports its public names.
+chain's hopping matrix, the lift of column coordinates and the revival scan
+evaluated at every grid point.  No production module imports this one; the
+package re-exports its public names.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from . import scheme, walk
+from . import revival, scheme, walk
 from .errors import InvalidInputError, ResourceLimitError, check_size, require_length
 from .quotient import ColumnBasis
 
@@ -259,3 +260,22 @@ def lift(basis: ColumnBasis, coords: np.ndarray) -> np.ndarray:
     require_length(coords, basis.N)
     weights = scheme.hamming_weights(basis.M).astype(np.int64)
     return (coords / np.sqrt(basis.sizes))[weights]
+
+
+def full_grid_scan(spec: walk.WalkSpec, tau_max: float, steps: int = revival.DEFAULT_SCAN_STEPS) -> revival.ScanOutcome:
+    """revival.scan_balanced_fr with antipodal_scan at every grid point: the reference of its screen."""
+    taus = revival.tau_grid(0.0, tau_max, steps)
+    mus, nus = walk.antipodal_scan(spec, taus)
+    pm = mus.real ** 2 + mus.imag ** 2
+    total = pm + (nus.real ** 2 + nus.imag ** 2)
+    balanced = (total >= 1.0 - revival.SCAN_TOL) & (np.abs(pm - 0.5) <= revival.SCAN_TOL) & (taus > 0)
+    hits = np.nonzero(balanced)[0]
+    k = 1 + int(np.argmax(total[1:]))  # skip the trivial revival at tau = 0
+    return revival.ScanOutcome(
+        tau_max=float(tau_max),
+        steps=steps,
+        balanced_found=bool(hits.size),
+        balanced_tau=float(taus[hits[0]]) if hits.size else None,
+        max_revival_sum=float(total[k]),
+        tau_at_max_sum=float(taus[k]),
+    )

@@ -135,7 +135,6 @@ class QuotientTable:
     a2_upper: np.ndarray   # <col n+2|A_2|col n>, n = 1..N-2
     a2_lower: np.ndarray   # <col n-2|A_2|col n>, n = 3..N
     a2_diag: np.ndarray    # <col n|A_2|col n>,  n = 1..N
-    max_closed_form_deviation: float
     exact_closed_forms: bool
     shifted: ShiftedDiagonalReport  # the on-site check, from the same distance-2 counts
 
@@ -145,10 +144,36 @@ class QuotientTable:
         counts = _pair_counts(self.N - 1, 4)
         return np.array([counts[a, a] for a in range(self.N)])
 
+    def _closed_form_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each float element array with its closed form: sqrt(n(N-n)), the A_2 band (both ways) and (n-1)(N-n)."""
+        N = self.N
+        n = np.arange(1, N, dtype=float)
+        pairs = [(self.a1_upper, np.sqrt(n * (N - n)))]
+        if N >= 3:
+            n = np.arange(1, N - 1, dtype=float)
+            closed = 0.5 * np.sqrt(n * (n + 1) * (N - n) * (N - n - 1))
+            # symmetry: <col n-2|A_2|col n> for n = 3..N equals the forward band
+            pairs += [(self.a2_upper, closed), (self.a2_lower, closed)]
+        n = np.arange(1, N + 1, dtype=float)
+        pairs.append((self.a2_diag, (n - 1) * (N - n)))
+        return pairs
+
+    @property
+    def max_closed_form_deviation(self) -> float:
+        """The largest |element - closed form|, in absolute terms."""
+        return float(max(np.abs(measured - closed).max() for measured, closed in self._closed_form_pairs()))
+
     @property
     def passed(self) -> bool:
-        """Every closed form holds exactly on integers and within 1e-12 in floats."""
-        return self.exact_closed_forms and self.max_closed_form_deviation < 1e-12
+        """Every closed form holds exactly on integers, and each float element within 1e-12 max(1, |closed form|).
+
+        The gate is relative to each element's size: the diagonal (n-1)(N-n)
+        reaches N^2/4, where one rounding exceeds an absolute 1e-12 (N >= 226).
+        """
+        return self.exact_closed_forms and all(
+            (np.abs(measured - closed) < 1e-12 * np.maximum(1.0, np.abs(closed))).all()
+            for measured, closed in self._closed_form_pairs()
+        )
 
     def q1(self) -> np.ndarray:
         """Quotient of A_1: tridiagonal with the measured elements (equals 2J)."""
@@ -213,24 +238,12 @@ def quotient_matrix_elements(N: int) -> QuotientTable:
         shifted_exact &= lhs == rhs
         shifted_dev = max(shifted_dev, abs(float(lhs) - float(rhs)))
 
-    nvals = np.arange(1, N, dtype=float)
-    dev = np.abs(a1_upper - np.sqrt(nvals * (N - nvals))).max()
-    if N >= 3:
-        nvals = np.arange(1, N - 1, dtype=float)
-        closed = 0.5 * np.sqrt(nvals * (nvals + 1) * (N - nvals) * (N - nvals - 1))
-        dev = max(dev, np.abs(a2_upper - closed).max())
-        # symmetry: <col n-2|A_2|col n> for n = 3..N equals the forward band
-        dev = max(dev, np.abs(a2_lower - closed).max())
-    nvals = np.arange(1, N + 1, dtype=float)
-    dev = max(dev, np.abs(a2_diag - (nvals - 1) * (N - nvals)).max())
-
     return QuotientTable(
         N=N,
         a1_upper=a1_upper,
         a2_upper=a2_upper,
         a2_lower=a2_lower,
         a2_diag=a2_diag,
-        max_closed_form_deviation=float(dev),
         exact_closed_forms=bool(exact),
         shifted=ShiftedDiagonalReport(N=N, exact=bool(shifted_exact), max_deviation=shifted_dev),
     )

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import copysign, gcd, inf, isfinite, isnan, pi
+from math import copysign, gcd, inf, isfinite, isnan, isqrt, pi
 
 import numpy as np
 
-from . import walk
-from .errors import InvalidInputError, require_model
+from . import kraw, walk
+from .errors import InvalidInputError, check_size, require_model
 
 BALANCED_FR = "balanced_FR"
 PST_ONLY = "PST_only"
@@ -163,31 +163,103 @@ def tau_grid(tau_min: float, tau_max: float, steps: int) -> np.ndarray:
     return np.linspace(tau_min, tau_max, steps + 1)
 
 
+def _probabilities(mus: np.ndarray, nus: np.ndarray):
+    """|mu|^2 and |mu|^2 + |nu|^2, each squared modulus as re^2 + im^2 (position-independent, unlike np.abs)."""
+    corner = mus.real ** 2 + mus.imag ** 2
+    return corner, corner + (nus.real ** 2 + nus.imag ** 2)
+
+
+def _screen(spec: walk.WalkSpec, taus: np.ndarray):
+    """|mu|^2 and |mu|^2 + |nu|^2 on the whole grid from O(sqrt(steps)) eigenphase rows, and their error bound delta.
+
+    With B = ceil(sqrt(steps + 1)), every grid time tau_k is tau_c - tau_j up
+    to rounding, for an anchor c = steps - aB and an offset j < B, so
+    e^{-i tau_k E} is about e^{-i tau_c E} conj(e^{-i tau_j E}).  The exp runs
+    on the ceil((steps + 1)/B) anchors and B offsets only, and one matrix
+    product (BLAS) forms the weighted sums.  The anchors start at tau_max, so
+    phase_table makes its refusals on the grid's largest time before any exp.
+
+    delta bounds the distance of either screened value from the one
+    antipodal_scan gives at the same grid point.  With eps = 2^-52,
+    T = tau_max max|E|, n = M + 1 and eta = 2^-1074:
+    (a) a grid time is k tau_max/steps within two roundings, 1.01 eps
+        tau_max + (steps + 2) eta (subnormal steps included), so
+        |tau_c - tau_j - tau_k| <= 3.01 eps tau_max + 3(steps + 2) eta and the
+        exact phases there differ by at most 3.01 eps T + 3(steps + 2) eta max|E|;
+    (b) a computed eigenphase is within r = eps T/2 + 2 eps of the exact one at
+        its time (one rounding of tau E, then cos and sin within an ulp), with
+        modulus at most 1 + 2 eps, so a screened product is within 2.01 r and
+        the reference phase within r;
+    (c) the weights' moduli sum to 1, so the rounding of the reference's
+        fixed-order sum, of the anchor-weight products and of the BLAS sum,
+        in any order, adds at most 1.5(n + 2) eps;
+    so the two sums differ by e <= 4.6 eps T + 9.1 eps + 1.5 n eps +
+    3(steps + 2) eta max|E|.  (d) Both sums have modulus at most 1.01, so the
+    squared moduli, each re^2 + im^2 within 1.03 eps, differ by at most
+    2.02 e + 2.1 eps, and the totals, one more rounding each, by 4.04 e +
+    6.3 eps <= 18.6 eps T + 43.1 eps + 6.1 n eps + 12.2(steps + 2) eta max|E|.
+    delta = 64 eps (1 + T) + 8 n eps + 16(steps + 2) eta max|E| exceeds that
+    by more than 16 eps + 45 eps T, which covers the rounding of delta and of
+    the comparisons that use it.
+    """
+    steps = len(taus) - 1
+    block = isqrt(steps) + 1
+    check_size(spec.M)
+    anchors = walk.phase_table(spec, taus[::-block])
+    offsets = walk.phase_table(spec, taus[:block])
+    weights = walk.binomial_weights(spec.M)
+    weighted = anchors[:, :, None] * np.stack([weights, weights * (-1.0) ** np.arange(spec.M + 1)], axis=1)
+    sums = offsets.conj() @ weighted.transpose(1, 0, 2).reshape(spec.M + 1, -1)
+    # sums[j, (a, c)] is row steps - a block - j; rows below 0 are dropped
+    rows = sums.reshape(block, -1, 2).transpose(1, 0, 2).reshape(-1, 2)[steps::-1]
+    corner, total = _probabilities(rows[:, 0], rows[:, 1])
+
+    eps, eta = 2.0 ** -52, 2.0 ** -1074
+    largest = float(np.abs(kraw.graph_eigenvalues(spec)).max())
+    delta = (64 * eps * (1.0 + float(taus[-1]) * largest) + 8 * (spec.M + 1) * eps
+             + 16 * (steps + 2) * (eta * largest))
+    return corner, total, delta
+
+
 def scan_balanced_fr(
     spec: walk.WalkSpec, tau_max: float, steps: int = DEFAULT_SCAN_STEPS
 ) -> ScanOutcome:
     """Sweep tau in [0, tau_max] looking for a balanced revival.
 
     A grid point counts as balanced FR when |mu|^2 + |nu|^2 >= 1 - 1e-6 with
-    both probabilities within 1e-6 of one half.  tau = 0 (perfect return) is
-    excluded from detection but included in the sweep.  The grid is
-    tau_grid(0.0, tau_max, steps), with its refusals.
+    |mu|^2 within 1e-6 of one half.  tau = 0 (perfect return) is excluded
+    from detection but included in the sweep; the maximum of |mu|^2 + |nu|^2
+    is taken over tau > 0, the first grid point winning a tie.  The grid is
+    tau_grid(0.0, tau_max, steps), with its refusals, then check_size and
+    the eigenphase refusals on tau_max.
+
+    The outcome is, field for field and bit for bit, the one antipodal_scan
+    on every grid point gives (oracle.full_grid_scan), but exp runs on few
+    points: _screen approximates the whole grid within delta, and only the
+    points that could decide the outcome are evaluated exactly, those within
+    2 delta of the screened maximum and those within delta of the balanced
+    thresholds.  Every other point is provably neither the first maximum
+    nor a hit.  A large delta (a large tau max|E|) admits more points, up to
+    the whole grid.
     """
     taus = tau_grid(0.0, tau_max, steps)
-    mus, nus = walk.antipodal_scan(spec, taus)
-    pm = np.abs(mus) ** 2
-    pn = np.abs(nus) ** 2
-    total = pm + pn
-    balanced = (total >= 1.0 - SCAN_TOL) & (np.abs(pm - 0.5) <= SCAN_TOL) & (taus > 0)
-    hits = np.nonzero(balanced)[0]
-    k = 1 + int(np.argmax(total[1:]))  # skip the trivial revival at tau = 0
+    corner, total, delta = _screen(spec, taus)
+    near = total >= total[1:].max() - 2 * delta
+    near |= (total >= 1.0 - SCAN_TOL - delta) & (np.abs(corner - 0.5) <= SCAN_TOL + delta)
+    near[0] = False
+    idx = np.flatnonzero(near)
+
+    corner, total = _probabilities(*walk.antipodal_scan(spec, taus[idx]))
+    balanced = (total >= 1.0 - SCAN_TOL) & (np.abs(corner - 0.5) <= SCAN_TOL) & (taus[idx] > 0)
+    hits = idx[balanced]
+    best = int(np.argmax(total))
     return ScanOutcome(
         tau_max=float(tau_max),
         steps=steps,
         balanced_found=bool(hits.size),
         balanced_tau=float(taus[hits[0]]) if hits.size else None,
-        max_revival_sum=float(total[k]),
-        tau_at_max_sum=float(taus[k]),
+        max_revival_sum=float(total[best]),
+        tau_at_max_sum=float(taus[idx[best]]),
     )
 
 
@@ -233,15 +305,16 @@ def certify_numeric(
 
     if cert.kind == BALANCED_FR:
         tau = cert.tau_fr
-        amp = walk.antipodal_amplitudes(spec, tau)
+        # one call for both times: each row equals its one-point antipodal_amplitudes
+        mus, nus = walk.antipodal_scan(spec, [tau, cert.tau_pst])
+        amp = walk.AntipodalAmplitudes.of(mus[0], nus[0])
         rotated_nu = amp.nu * np.exp(-1j * np.angle(amp.mu))
-        pst = walk.antipodal_amplitudes(spec, cert.tau_pst)
         checks = {
             "mu_prob_dev": abs(abs(amp.mu) ** 2 - 0.5),
             "nu_prob_dev": abs(abs(amp.nu) ** 2 - 0.5),
             "leakage": abs(amp.leakage),
             "nu_real_part": abs(rotated_nu.real),
-            "pst_at_double": abs(pst.nu),
+            "pst_at_double": abs(complex(nus[1])),
         }
         appendix = _appendix_identity(cert, spec)
         passed = (

@@ -158,19 +158,29 @@ class AntipodalAmplitudes(NamedTuple):
     nu: complex      # amplitude at the all-ones antipode
     leakage: float   # 1 - |mu|^2 - |nu|^2
 
+    @classmethod
+    def of(cls, mu, nu) -> AntipodalAmplitudes:
+        """The two amplitudes as Python complex values, with their leakage."""
+        mu, nu = complex(mu), complex(nu)
+        return cls(mu=mu, nu=nu, leakage=1.0 - abs(mu) ** 2 - abs(nu) ** 2)
+
 
 def antipodal_amplitudes(spec: WalkSpec, tau: float) -> AntipodalAmplitudes:
     """The corner-started walk's amplitudes at the start corner and the antipode.
 
-    The one-point case of antipodal_scan: read from the closed form at O(M),
-    with no 2^M state.  evolve_graph(spec, corner_state(M), tau)[0] and [-1]
-    give the same amplitudes within rounding, and certify_numeric checks this
-    at oracle scale.  antipodal_scan makes the refusals.
+    The one-point case of antipodal_scan, so equal bit for bit to the row of
+    any scan that holds tau: read from the closed form at O(M), with no 2^M
+    state.  evolve_graph(spec, corner_state(M), tau)[0] and [-1] give the
+    same amplitudes within rounding, and certify_numeric checks this at
+    oracle scale.  antipodal_scan makes the refusals.
     """
     mus, nus = antipodal_scan(spec, [tau])
-    mu = complex(mus[0])
-    nu = complex(nus[0])
-    return AntipodalAmplitudes(mu=mu, nu=nu, leakage=1.0 - abs(mu) ** 2 - abs(nu) ** 2)
+    return AntipodalAmplitudes.of(mus[0], nus[0])
+
+
+def binomial_weights(M: int) -> np.ndarray:
+    """C(M, s)/2^M for s = 0..M: the corner's share of each eigenspace, the weights of mu."""
+    return np.array([comb(M, s) / 2 ** M for s in range(M + 1)])
 
 
 def antipodal_scan(spec: WalkSpec, taus: np.ndarray):
@@ -178,12 +188,20 @@ def antipodal_scan(spec: WalkSpec, taus: np.ndarray):
 
     The corner-started walk stays in the column space, so
     mu = 2^-M sum_s C(M,s) e^{-i tau E_s} and nu is the same sum with a factor
-    (-1)^s, at O(M) per time.  The size guard applies as for evolution, so
-    scans refuse the same M; then phase_table refuses, in the order
-    evolve_graph does, a time that is not finite, a spectrum that overflows,
-    and a largest |tau| whose phase overflows, before exp(-i tau E).
+    (-1)^s, at O(M) per time.  Each sum runs in one fixed order, s = 0..M left
+    to right (a cumulative sum, with no BLAS and no pairwise reduction), so a
+    row's bits depend on its own phases alone: not on how many times the call
+    holds, on the row's place among them, or on the BLAS kernel.  The size
+    guard applies as for evolution, so scans refuse the same M; then
+    phase_table refuses, in the order evolve_graph does, a time that is not
+    finite, a spectrum that overflows, and a largest |tau| whose phase
+    overflows, before exp(-i tau E).
     """
     check_size(spec.M)
-    phases = phase_table(spec, np.atleast_1d(taus))
-    weights = np.array([comb(spec.M, s) / 2 ** spec.M for s in range(spec.M + 1)])
-    return phases @ weights, phases @ (weights * (-1.0) ** np.arange(spec.M + 1))
+    terms = phase_table(spec, np.atleast_1d(taus))
+    terms *= binomial_weights(spec.M)
+    partial = np.cumsum(terms, axis=1)
+    mus = partial[:, -1].copy()
+    terms[:, 1::2] *= -1.0  # negation is exact: these are nu's terms, rounded as (-w_s) e^{-i tau E_s} would be
+    np.cumsum(terms, axis=1, out=partial)
+    return mus, partial[:, -1].copy()

@@ -457,6 +457,11 @@ def test_quotient_under_a_raised_guard(capsys, monkeypatch):
     code, out, err = run(capsys, ["quotient", "--N", "201"])
     assert (code, err) == (0, "")
     assert '"exact_closed_forms": true' in out
+    # one rounding of the diagonal near N^2/4 passes the gate relative to the element's size
+    monkeypatch.setenv("REVIVAL_MAX_M", "300")
+    code, out, err = run(capsys, ["quotient", "--N", "226"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["max_closed_form_deviation"] > 1e-12
     # from N = 518 a product k_a k_b of column sizes leaves the float range,
     # refused before any pair is counted
     def refuse(M, distance):
@@ -656,6 +661,32 @@ def start_cli(argv, stdout=subprocess.PIPE):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.Popen([sys.executable, "-m", "fracrevival.cli"] + argv, env=env,
                             stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+# a refusal (the 10^4-point scan), a PST, an FR above the dense identity (M > 8, where
+# LAPACK's eigh decides max_identity_dev) and a scan: mu and nu come from the fixed-order sum
+BLAS_KERNEL_PROBES = [
+    ["verify", "--N", "9", "--alpha", "0.6", "--beta", "1"],
+    ["verify", "--N", "17", "--alpha", "1.3333333333333333", "--beta", "2", "--p", "2", "--q", "3"],
+    ["verify", "--N", "15", "--alpha", "1.7", "--beta", "0"],
+    ["verify", "--N", "16", "--alpha", "-1.4", "--beta", "1.4"],
+    ["scan", "--N", "12", "--alpha", "0.83", "--beta", "-1.21", "--steps", "500"],
+]
+
+
+def test_report_bytes_do_not_depend_on_the_blas_kernel():
+    script = ("import sys\nfrom fracrevival import cli\n"
+              f"sys.exit(max(cli.main(argv) for argv in {BLAS_KERNEL_PROBES!r}))")
+    outputs = []
+    for coretype in (None, "Prescott"):
+        env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = str(SRC)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert (child.returncode, child.stderr) == (0, "")
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_a_closed_stdout_exits_one_without_a_traceback():

@@ -13,7 +13,7 @@ ORACLE_NAMES = {
     "krawtchouk", "krawtchouk_hypergeometric", "SpectrumTable", "spectrum_table", "SPECTRUM_MAX_M",
     "graph_eigenvalue", "hamming_distance", "SchemeOperator", "apply_adjacency", "intersection_number",
     "intersection_table", "BoseMesnerReport", "verify_bose_mesner_row", "dense_oracle_evolve",
-    "remove_global_phase", "hopping_matrix", "lift", "weight_masks",
+    "remove_global_phase", "hopping_matrix", "lift", "weight_masks", "full_grid_scan",
 }
 PUBLIC = [
     "BALANCED_FR", "ChainSpec", "ColumnBasis", "ColumnState", "InvalidInputError", "NONE",

@@ -1,5 +1,6 @@
 """Column projection, quotient matrix elements, and graph-chain equivalence."""
 
+import dataclasses
 from math import comb, pi, sqrt
 
 import numpy as np
@@ -117,6 +118,21 @@ def test_pair_counts_equal_the_brute_force_intersection_numbers(M):
 def test_quotient_runs_to_the_size_guard(N):
     table = quotient.quotient_matrix_elements(N)
     assert table.passed and table.exact_closed_forms and table.shifted.passed
+
+
+@pytest.mark.parametrize("N", [226, 300, 517])
+def test_quotient_gate_is_relative_to_each_element(monkeypatch, N):
+    monkeypatch.setenv("REVIVAL_MAX_M", "600")
+    table = quotient.quotient_matrix_elements(N)
+    assert table.max_closed_form_deviation > 1e-12  # above an absolute gate, one rounding near N^2/4
+    assert table.passed
+    middle = N // 2
+    for name, index, error in (("a2_diag", middle, 1e-9 * N * N), ("a1_upper", 0, 1e-10 * N),
+                               ("a2_upper", middle, 1e-9 * N * N), ("a2_lower", 0, 1e-9 * N),
+                               ("a2_diag", 0, 1e-11)):
+        perturbed = getattr(table, name).copy()
+        perturbed[index] += error
+        assert not dataclasses.replace(table, **{name: perturbed}).passed, (name, index)
 
 
 @pytest.mark.parametrize("build", [

@@ -4,10 +4,10 @@ from math import gcd, pi
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fracrevival import revival, walk
+from fracrevival import oracle, revival, walk
 from fracrevival.errors import InvalidInputError
 
 
@@ -449,3 +449,85 @@ def test_check_conditions_property(N, p, q, sign_alpha, sign_beta, explicit):
         assert cert.tau_fr is None
         assert cert.tau_pst == (pi * q / abs(beta) if kind == revival.PST_ONLY else None)
     assert (cert.reason != "") == (kind == revival.NONE)
+
+
+@st.composite
+def scan_inputs(draw, scale=st.just(1.0)):
+    """(N, alpha, beta, p, q, steps, stretch): signed couplings, beta = 0 included, p/q in lowest terms.
+
+    The window is one period stretched by 1 + stretch; a stretch of about
+    1e-7 moves an FR time off the grid, so a hit can sit below the maximum.
+    """
+    N = draw(st.integers(2, 14))
+    size = draw(st.floats(0.3, 3.0)) * draw(scale)
+    sign = draw(st.sampled_from((-1.0, 1.0)))
+    steps = draw(st.sampled_from((1, 2, 3, 10 ** 4)))
+    stretch = draw(st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6)))
+    if draw(st.booleans()):
+        return N, sign * size, 0.0, None, None, steps, stretch
+    p, q = draw(st.integers(-12, 12)), draw(st.integers(1, 11))
+    assume(gcd(p, q) == 1)
+    return N, sign * size * p / q, sign * size, p, q, steps, stretch
+
+
+def scan_case(N, alpha, beta, p, q, stretch=0.0):
+    """The walk and the window: the one period certify_numeric sweeps (a refusal's, or one holding FR/PST times)."""
+    cert = revival.check_conditions(N, alpha, beta, p=p, q=q)
+    return walk.WalkSpec(N - 1, alpha, beta), revival._scan_window(cert) * (1.0 + stretch)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_inputs())
+@example((9, 1e11 + 1, 1.0, None, None, 10 ** 4, 0.0))  # tau_max max|E| ~ 1e13: delta ~ 0.1 admits many points
+# FR hits below the maximum by more than 2 delta: only the threshold candidates find them
+@example((3, 0.0713784836863248, 0.5710278694905984, 1, 8, 10 ** 4, -4.793878663399305e-07))
+@example((4, 2.802685213415608, 2.802685213415608, 1, 1, 10 ** 4, -1.2958274084261754e-07))
+def test_screened_scan_equals_the_full_grid(inputs):
+    *model, steps, stretch = inputs
+    spec, tau_max = scan_case(*model, stretch)
+    # repr tells every float apart bit for bit, signed zeros included
+    assert repr(revival.scan_balanced_fr(spec, tau_max, steps)) == repr(oracle.full_grid_scan(spec, tau_max, steps))
+
+
+@settings(max_examples=80, deadline=None)
+@given(scan_inputs(scale=st.sampled_from((1.0, 1e3, 1e6))))
+def test_screen_error_is_within_a_quarter_of_its_bound(inputs):
+    *model, steps, stretch = inputs
+    spec, tau_max = scan_case(*model, stretch)
+    taus = revival.tau_grid(0.0, tau_max, steps)
+    corner, total, delta = revival._screen(spec, taus)
+    exact_corner, exact_total = revival._probabilities(*walk.antipodal_scan(spec, taus))
+    assert np.abs(corner - exact_corner).max() <= delta / 4
+    assert np.abs(total - exact_total).max() <= delta / 4
+
+
+def count_exp_elements(monkeypatch) -> list:
+    """Patch the walk's eigenphases to record the number of exp elements of each call."""
+    counted = []
+    eigenphases = walk.eigenphases
+
+    def counting(tau, energies):
+        phases = eigenphases(tau, energies)
+        counted.append(phases.size)
+        return phases
+
+    monkeypatch.setattr(walk, "eigenphases", counting)
+    return counted
+
+
+def test_a_refusal_runs_exp_on_few_grid_points(monkeypatch):
+    counted = count_exp_elements(monkeypatch)
+    rep = revival.certify_numeric(9, 0.6, 1.0)  # p/q = 3/5 shares parity with N: no revival
+    assert rep.certificate.kind == revival.NONE and rep.passed
+    grid = (revival.DEFAULT_SCAN_STEPS + 1) * 9
+    assert 0 < sum(counted) <= 0.05 * grid
+
+
+@pytest.mark.parametrize("alpha, share", [(1e11 + 1, 0.1), (1e12 + 1, 1.0)])
+def test_a_large_tau_times_energy_falls_back_toward_the_full_grid(monkeypatch, alpha, share):
+    # tau_max max|E| ~ 1e13 makes delta ~ 0.1, and ~ 1e14 makes it ~ 1: the whole grid
+    spec, tau_max = scan_case(9, alpha, 1.0, None, None)
+    counted = count_exp_elements(monkeypatch)
+    screened = revival.scan_balanced_fr(spec, tau_max)
+    assert sum(counted) > share * (revival.DEFAULT_SCAN_STEPS + 1) * 9
+    assert repr(screened) == repr(oracle.full_grid_scan(spec, tau_max))

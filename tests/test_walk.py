@@ -297,3 +297,30 @@ def test_remove_global_phase():
     k = np.argmax(np.abs(fixed))
     assert fixed[k].imag == pytest.approx(0.0, abs=1e-15)
     assert fixed[k].real > 0
+
+
+def bits(values) -> bytes:
+    return np.ascontiguousarray(values).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    M=st.integers(1, 14),
+    alpha=st.one_of(st.just(0.0), st.floats(-30.0, 30.0)),
+    beta=st.one_of(st.just(0.0), st.floats(-30.0, 30.0)),
+    tau_max=st.floats(0.1, 1e4),
+    count=st.integers(2, 3000),
+    data=st.data(),
+)
+def test_antipodal_scan_rows_depend_on_their_own_time_alone(M, alpha, beta, tau_max, count, data):
+    # a row's bits must not depend on the other times of the call (BLAS gemv fails this)
+    assume(alpha != 0.0 or beta != 0.0)
+    spec = walk.WalkSpec(M=M, alpha=alpha, beta=beta)
+    taus = np.linspace(0.0, tau_max, count)
+    mus, nus = walk.antipodal_scan(spec, taus)
+    idx = np.array(sorted(data.draw(st.sets(st.integers(0, count - 1), min_size=1, max_size=50))))
+    sub_mus, sub_nus = walk.antipodal_scan(spec, taus[idx])
+    assert bits(sub_mus) == bits(mus[idx]) and bits(sub_nus) == bits(nus[idx])
+    k = int(idx[0])
+    amp = walk.antipodal_amplitudes(spec, float(taus[k]))
+    assert bits([amp.mu, amp.nu]) == bits([mus[k], nus[k]])
