@@ -3,13 +3,15 @@
 The values K_i(s; 2, M) at integer points are the eigenvalues of the Hamming
 scheme adjacency operators: A_i acts as K_i(s; 2, M) on the common eigenspace
 E(s) of dimension C(M, s), where A_1 has eigenvalue lambda_s = M - 2s.
-Spectra destined for evolution are assembled in double precision; the matrix
-of values K_s(w) is built in exact integers and converted to float once.
+Spectra destined for evolution are assembled in double precision; the
+weights K_s(w)/2^M of the corner-started walk are exact integers divided once.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
+from operator import sub
 
 import numpy as np
 
@@ -26,20 +28,24 @@ def graph_eigenvalues(spec) -> np.ndarray:
         return 0.5 * spec.alpha * ((lam * lam - spec.M) / 2.0) + 0.5 * spec.beta * lam
 
 
-def krawtchouk_matrix(M: int) -> np.ndarray:
-    """K_s(w; 2, M) at row s and column w, s, w = 0..M, as a float array within the size guard.
+def column_weights(M: int, rows=None) -> np.ndarray:
+    """K_s(w; 2, M)/2^M at row j and column s = 0..M, for the weight class w = rows[j] (every w by default).
 
-    Column w holds the coefficients of (1 - z)^w (1 + z)^(M - w), in exact
-    integers: (1 + z) P_{w+1} = (1 - z) P_w, so the coefficient of z^s in
-    P_{w+1} is a_s - a_{s-1} minus its own coefficient of z^(s-1).  Converted
-    to float once; oracle.krawtchouk is the reference.
+    The weights of the corner-started walk's amplitude on class w: K_s(w), the
+    coefficient of z^s in P_w = (1 - z)^w (1 + z)^(M - w), is an exact integer
+    divided once by 2^M, never converted to float on its own.  P_0 holds the
+    binomials C(M, s); (1 + z) P_{w+1} = (1 - z) P_w makes the coefficient of
+    z^s in P_{w+1} a_s - a_{s-1} minus its own coefficient of z^(s-1); and
+    K_s(M - w) = (-1)^s K_s(w).  So rows 0 and M cost O(M); the whole table is
+    refused above the size guard first.  oracle.krawtchouk is the reference.
     """
-    check_elements((M + 1) ** 2, "the Krawtchouk matrix")
-    column = [comb(M, s) for s in range(M + 1)]  # (1 + z)^M, w = 0
-    columns = [column]
-    for _ in range(M):
-        previous, column = column, []
-        for s, a in enumerate(previous):
-            column.append(a - previous[s - 1] - column[s - 1] if s else a)
-        columns.append(column)
-    return np.array(columns, dtype=float).T
+    if rows is None:
+        check_elements((M + 1) ** 2, "the Krawtchouk matrix")
+        rows = range(M + 1)
+    table = [[comb(M, s) for s in range(M + 1)]]
+    for _ in range(max(min(w, M - w) for w in rows)):
+        differences = map(sub, table[-1], [0] + table[-1][:-1])  # a_s - a_{s-1}
+        table.append(list(accumulate(differences, lambda below, d: d - below)))
+    scale = 2 ** M  # a class above M/2 takes its mirror's integers with the signs (-1)^s
+    return np.array([[(-k if s % 2 else k) / scale for s, k in enumerate(table[M - w])] if 2 * w > M
+                     else [k / scale for k in table[w]] for w in rows])

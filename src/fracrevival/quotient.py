@@ -8,7 +8,8 @@ and its matrix elements there reproduce the chain couplings exactly:
 diagonal of A_2/2 + (N-1)/4 reproduces the on-site terms.  The elements come
 from exact pair counts between distance shells, a binomial times an
 intersection number of H(M,2), and are checked in exact integers wherever the
-quantity is rational.
+quantity is rational.  The corner-started walk's coordinates are the
+column_state of walk.column_amplitudes, with no 2^M state; project is their oracle.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ class ColumnBasis:
 
     @property
     def sizes(self) -> np.ndarray:
-        """k_n = C(N-1, n-1) vertices in column n."""
-        return np.array([comb(self.M, n) for n in range(self.N)], dtype=np.int64)
+        """k_n = C(N-1, n-1) vertices in column n, each exact integer rounded once to float."""
+        return np.array([float(comb(self.M, n)) for n in range(self.N)])
 
     def members(self, n: int) -> np.ndarray:
         """Vertices of column n (bit-weight n-1), computed on demand."""
@@ -90,7 +91,7 @@ def column_state(psi_w: np.ndarray) -> ColumnState:
     outside the span, sum_w C(M, w) |psi_w|^2 - sum |c_w|^2.
     """
     psi_w = np.asarray(psi_w, dtype=complex)
-    sizes = ColumnBasis(len(psi_w)).sizes.astype(float)
+    sizes = ColumnBasis(len(psi_w)).sizes
     coords = np.sqrt(sizes) * psi_w
     leakage = float(sizes @ np.abs(psi_w) ** 2 - np.sum(np.abs(coords) ** 2))
     return ColumnState(coords=coords, leakage=leakage)
@@ -271,13 +272,13 @@ class EquivalenceReport:
 
 
 def equivalence_check(N: int, alpha: float, beta: float, tau: float) -> EquivalenceReport:
-    """Certify that the corner-started walk projects onto the chain dynamics."""
+    """Certify that the corner-started walk projects onto the chain dynamics, as evolve --target both compares them."""
     spec = walk.WalkSpec(M=N - 1, alpha=alpha, beta=beta)
-    evolved = walk.evolve_graph(spec, walk.corner_state(spec.M), tau)
+    graph_columns = column_state(walk.column_amplitudes(spec, tau))
     chain_side = chain_mod.chain_evolve(
         chain_mod.ChainSpec(N=N, alpha=alpha, beta=beta), chain_mod.site_state(N, 1), tau
     )
-    return compare_states(N, alpha, beta, tau, project(ColumnBasis(N), evolved), chain_side)
+    return compare_states(N, alpha, beta, tau, graph_columns, chain_side)
 
 
 def compare_states(

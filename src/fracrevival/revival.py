@@ -18,12 +18,13 @@ The right side is a scalar on each eigenspace of the antipode map J = A_M, so
 the dense check first tests exactly that H commutes with J, then
 diagonalizes the two 2^(M-1)-sized sectors J = +-1 instead of all of H.
 
-`certify_numeric` reads the amplitudes from the closed form at O(M), with no
-2^M state.  At oracle scale (M <= walk.ORACLE_MAX_M) it also evolves the
-corner state once with the Walsh-Hadamard engine at the evaluated time and
-records engine_dev, the larger deviation of its corner and antipode entries
-from the closed form; the verdict requires engine_dev below PROB_TOL, so every
-small verdict rests on two independent engines.
+`certify_numeric` reads the amplitudes at O(M), with no 2^M state, from the
+closed form: the classes w = 0 and M of walk.column_amplitudes.  At oracle
+scale (M <= walk.ORACLE_MAX_M) it also evolves the corner state once with the
+Walsh-Hadamard engine at the evaluated time and records engine_dev, the larger
+deviation of its corner and antipode entries from the closed form; the verdict
+requires engine_dev below PROB_TOL, so every small verdict rests on two
+independent engines.
 """
 
 from __future__ import annotations
@@ -207,8 +208,7 @@ def _screen(spec: walk.WalkSpec, taus: np.ndarray):
     check_size(spec.M)
     anchors = walk.phase_table(spec, taus[::-block])
     offsets = walk.phase_table(spec, taus[:block])
-    weights = walk.binomial_weights(spec.M)
-    weighted = anchors[:, :, None] * np.stack([weights, weights * (-1.0) ** np.arange(spec.M + 1)], axis=1)
+    weighted = anchors[:, :, None] * kraw.column_weights(spec.M, (0, spec.M)).T
     sums = offsets.conj() @ weighted.transpose(1, 0, 2).reshape(spec.M + 1, -1)
     # sums[j, (a, c)] is row steps - a block - j; rows below 0 are dropped
     rows = sums.reshape(block, -1, 2).transpose(1, 0, 2).reshape(-1, 2)[steps::-1]

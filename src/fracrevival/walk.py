@@ -11,19 +11,18 @@ bits do not depend on the fusion.
 
 The corner-started walk stays in the column space of the Hamming scheme:
 every vertex of weight w carries the same amplitude
-psi_w = 2^-M sum_s K_s(w) exp(-i tau E_s).  column_amplitudes gives the
-M + 1 values psi_w, from which the evolve report writes its 2^M rows, and
-the two a verdict needs, at the start corner and at the antipode, come from
-the same closed form in O(M) per time (antipodal_scan, and
-antipodal_amplitudes as its one-point case).  None of them builds a 2^M
-state.  The full evolution is the engine for general states and, at oracle
-scale, the cross-check of those closed forms.
+psi_w = 2^-M sum_s K_s(w) exp(-i tau E_s).  column_amplitudes is the one
+home of that sum: evolve writes its 2^M rows from the M + 1 values psi_w,
+quotient compares their column coordinates with the chain, and a verdict
+reads the classes w = 0 and M, the start corner and the antipode, at O(M)
+per time (antipodal_scan, and antipodal_amplitudes as its one-point case).
+None of them builds a 2^M state.  The full evolution is the engine for
+general states and, at oracle scale, the cross-check of those closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -129,18 +128,30 @@ def evolve_graph(spec: WalkSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
     return fwht(transformed)
 
 
-def column_amplitudes(spec: WalkSpec, tau: float) -> np.ndarray:
-    """The corner-started walk's amplitude psi_w on every vertex of weight w = 0..M, at one time.
+def column_amplitudes(spec: WalkSpec, taus, rows=None) -> np.ndarray:
+    """The corner-started walk's amplitude psi_w on each vertex of weight w: a row per time, a column per w of rows.
 
-    psi_w = 2^-M sum_s K_s(w) exp(-i tau E_s), with K_s(w) from
-    kraw.krawtchouk_matrix: M + 1 values at O(M^2), with no 2^M state.
-    evolve_graph(spec, corner_state(M), tau) equals psi[hamming_weights(M)]
-    within rounding.  The size guard applies as for evolution, since a report
-    of these values has 2^M rows; then phase_table makes its refusals.
+    psi_w = 2^-M sum_s K_s(w) exp(-i tau E_s) with kraw.column_weights (every
+    w by default; one time gives one row), summed over s = 0..M left to right
+    (a cumulative sum, a block of times at once, with no BLAS and no pairwise
+    reduction), so a value's bits depend on its own time and class alone: not
+    on the rest of the call or the BLAS kernel.  O(M) per value, with no 2^M
+    state; evolve_graph of the corner state is its oracle.  The size guard
+    applies as for evolution (a report of these values has 2^M rows), then
+    phase_table refuses, before exp and in evolve_graph's order, a time that
+    is not finite, a spectrum that overflows, and a largest |tau| whose phase
+    overflows.
     """
     check_size(spec.M)
-    phases = phase_table(spec, tau)
-    return phases @ kraw.krawtchouk_matrix(spec.M) / 2.0 ** spec.M
+    phases = phase_table(spec, taus)
+    weights = kraw.column_weights(spec.M, rows)
+    flat = phases.reshape(-1, spec.M + 1)
+    psi = np.empty((len(flat), len(weights)), dtype=complex)
+    block = -(-len(flat) // (2 * len(weights)))  # half the phases' room: two blocks live at a reassignment
+    for lo in range(0, len(flat), block):
+        terms = flat[lo:lo + block, None] * weights
+        psi[lo:lo + block] = np.cumsum(terms, axis=-1, out=terms)[..., -1]
+    return psi.reshape(phases.shape[:-1] + psi.shape[1:])
 
 
 def dense_hamiltonian(spec: WalkSpec) -> np.ndarray:
@@ -178,30 +189,11 @@ def antipodal_amplitudes(spec: WalkSpec, tau: float) -> AntipodalAmplitudes:
     return AntipodalAmplitudes.of(mus[0], nus[0])
 
 
-def binomial_weights(M: int) -> np.ndarray:
-    """C(M, s)/2^M for s = 0..M: the corner's share of each eigenspace, the weights of mu."""
-    return np.array([comb(M, s) / 2 ** M for s in range(M + 1)])
-
-
 def antipodal_scan(spec: WalkSpec, taus: np.ndarray):
-    """Corner-start antipodal amplitudes (mu, nu) at many times at once.
+    """Corner-start antipodal amplitudes (mu, nu) at many times at once: the classes w = 0 and M of column_amplitudes.
 
-    The corner-started walk stays in the column space, so
     mu = 2^-M sum_s C(M,s) e^{-i tau E_s} and nu is the same sum with a factor
-    (-1)^s, at O(M) per time.  Each sum runs in one fixed order, s = 0..M left
-    to right (a cumulative sum, with no BLAS and no pairwise reduction), so a
-    row's bits depend on its own phases alone: not on how many times the call
-    holds, on the row's place among them, or on the BLAS kernel.  The size
-    guard applies as for evolution, so scans refuse the same M; then
-    phase_table refuses, in the order evolve_graph does, a time that is not
-    finite, a spectrum that overflows, and a largest |tau| whose phase
-    overflows, before exp(-i tau E).
+    (-1)^s, at O(M) per time; a row's bits depend on its own time alone.
+    column_amplitudes makes the refusals.
     """
-    check_size(spec.M)
-    terms = phase_table(spec, np.atleast_1d(taus))
-    terms *= binomial_weights(spec.M)
-    partial = np.cumsum(terms, axis=1)
-    mus = partial[:, -1].copy()
-    terms[:, 1::2] *= -1.0  # negation is exact: these are nu's terms, rounded as (-w_s) e^{-i tau E_s} would be
-    np.cumsum(terms, axis=1, out=partial)
-    return mus, partial[:, -1].copy()
+    return tuple(column_amplitudes(spec, np.atleast_1d(taus), (0, spec.M)).T)

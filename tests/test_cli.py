@@ -462,6 +462,11 @@ def test_quotient_under_a_raised_guard(capsys, monkeypatch):
     code, out, err = run(capsys, ["quotient", "--N", "226"])
     assert (code, err) == (0, "")
     assert json.loads(out)["max_closed_form_deviation"] > 1e-12
+    # from M = 63 a column size C(M, w) leaves int64, and no 2^M state is ever built
+    monkeypatch.setenv("REVIVAL_MAX_M", "100")
+    code, out, err = run(capsys, ["quotient", "--N", "70", "--alpha", "1", "--beta", "1", "--tau", "1"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["equivalence"]["passed"] is True
     # from N = 518 a product k_a k_b of column sizes leaves the float range,
     # refused before any pair is counted
     def refuse(M, distance):
@@ -671,6 +676,8 @@ BLAS_KERNEL_PROBES = [
     ["verify", "--N", "15", "--alpha", "1.7", "--beta", "0"],
     ["verify", "--N", "16", "--alpha", "-1.4", "--beta", "1.4"],
     ["scan", "--N", "12", "--alpha", "0.83", "--beta", "-1.21", "--steps", "500"],
+    # graph rows only: chain rows still come from LAPACK eigh
+    *(["evolve", "--N", str(N), "--alpha", "0.83", "--beta", "-1.21", "--tau", "1.7"] for N in (9, 12, 15)),
 ]
 
 
@@ -955,6 +962,22 @@ def test_evolve_builds_no_state_and_writes_one_tail_per_weight_class(capsys, mon
         tails.setdefault(int(weights[int(index)]), set()).add(tail)
     assert sorted(tails) == list(range(M + 1))
     assert all(len(tail) == 1 for tail in tails.values())
+
+
+def test_quotient_builds_no_state(capsys, monkeypatch):
+    def no_state(*args):
+        raise AssertionError("a 2^M table on the quotient path")
+
+    monkeypatch.setattr(walk, "evolve_graph", no_state)
+    monkeypatch.setattr(walk, "fwht", no_state)
+    monkeypatch.setattr(quotient, "project", no_state)
+    monkeypatch.setattr(scheme, "hamming_weights", no_state)
+    code, out, err = run(capsys, ["quotient", "--N", "14", "--alpha", "1", "--beta", "1", "--tau", "fr",
+                                  "--random-trials", "3"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["equivalence"]["passed"] is True
+    assert report["random_equivalence"]["trials"] == 3
 
 
 class PieceRecorder(io.StringIO):

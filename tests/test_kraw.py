@@ -58,11 +58,23 @@ def test_general_q_recurrence():
     assert oracle.krawtchouk(1, 0, 5, q=4) == 15
 
 
-def test_krawtchouk_matrix_equals_the_exact_values():
+def test_column_weights_are_the_exact_values_over_two_to_the_m():
     for M in range(31):
-        table = kraw.krawtchouk_matrix(M)
+        table = kraw.column_weights(M)
         assert table.shape == (M + 1, M + 1)
-        assert all(table[s, w] == oracle.krawtchouk(s, w, M) for s in range(M + 1) for w in range(M + 1))
+        assert all(table[w, s] == oracle.krawtchouk(s, w, M) / 2 ** M for s in range(M + 1) for w in range(M + 1))
+        # any subset of the classes, the O(M) rows 0 and M included, holds the same bits
+        assert kraw.column_weights(M, (M, 0)).tobytes() == table[[M, 0]].tobytes()
+        assert kraw.column_weights(M, (M // 2,)).tobytes() == table[[M // 2]].tobytes()
+
+
+def test_column_weights_never_convert_a_big_integer_on_its_own():
+    # C(1100, 550) leaves the float range; C(1100, 550)/2^1100 does not
+    weights = kraw.column_weights(1100, (0, 1100))
+    assert np.isfinite(weights).all()
+    assert weights[1, 551] == -weights[0, 549]  # K_s(M) = (-1)^s C(M, s), and C(M, s) = C(M, M - s)
+    assert weights[0, 550] == pytest.approx(1 / np.sqrt(550 * np.pi), rel=1e-3)
+    assert weights[0].sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_degree_out_of_range():

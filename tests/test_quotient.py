@@ -5,6 +5,8 @@ from math import comb, pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fracrevival import chain, oracle, quotient, scheme, walk
 from fracrevival.errors import InvalidInputError, ResourceLimitError
@@ -227,3 +229,23 @@ def test_equivalence_random_parameters():
         report = quotient.equivalence_check(N, alpha, beta, tau)
         assert report.max_deviation < 1e-10, (N, alpha, beta, tau)
         assert abs(report.leakage) < 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    N=st.integers(2, 15),
+    alpha=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    beta=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+    tau=st.floats(0.0, 8.0),
+)
+def test_equivalence_check_matches_the_projected_fwht_evolution(N, alpha, beta, tau):
+    # the FWHT evolution of the corner state, projected, is the oracle of the column amplitudes
+    assume(alpha != 0.0 or beta != 0.0)
+    report = quotient.equivalence_check(N, alpha, beta, tau)
+    spec = walk.WalkSpec(M=N - 1, alpha=alpha, beta=beta)
+    projected = quotient.project(quotient.ColumnBasis(N), walk.evolve_graph(spec, walk.corner_state(spec.M), tau))
+    chain_side = chain.chain_evolve(chain.ChainSpec(N=N, alpha=alpha, beta=beta), chain.site_state(N, 1), tau)
+    oracle_report = quotient.compare_states(N, alpha, beta, tau, projected, chain_side)
+    assert abs(report.max_deviation - oracle_report.max_deviation) < 1e-12
+    assert abs(report.leakage - oracle_report.leakage) < 1e-12
+    assert np.abs(quotient.column_state(walk.column_amplitudes(spec, tau)).coords - projected.coords).max() < 1e-12

@@ -324,3 +324,9 @@ def test_antipodal_scan_rows_depend_on_their_own_time_alone(M, alpha, beta, tau_
     k = int(idx[0])
     amp = walk.antipodal_amplitudes(spec, float(taus[k]))
     assert bits([amp.mu, amp.nu]) == bits([mus[k], nus[k]])
+    # every class holds the same bits whatever times and classes, in whatever order, the call holds
+    psi = walk.column_amplitudes(spec, taus)
+    assert bits(psi[:, [0, M]]) == bits(np.stack([mus, nus], axis=1))
+    classes = data.draw(st.lists(st.integers(0, M), min_size=1, max_size=M + 1, unique=True))
+    assert bits(walk.column_amplitudes(spec, taus[idx[::-1]], classes)) == bits(psi[np.ix_(idx[::-1], classes)])
+    assert bits(walk.column_amplitudes(spec, float(taus[k]))) == bits(psi[k])
