@@ -82,3 +82,15 @@ def chain_evolve(spec: ChainSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
     phases = eigenphases(tau, w)
     require_unit_norm(psi0)
     return v @ (phases * (v.T @ psi0))
+
+
+def graph_phase(N: int, alpha: float, tau: float) -> complex:
+    """exp(+i tau alpha (N-1)/4), which turns the site-1 chain at tau into the corner-started walk's column coordinates.
+
+    It restores the constant (alpha/4)(N-1) I dropped in reducing the graph Hamiltonian
+    to (alpha/2)A_2 + (beta/2)A_1; a phase that overflows is refused.
+    """
+    shift = tau * alpha * (N - 1) / 4.0
+    if not np.isfinite(shift):
+        raise InvalidInputError("the chain phase tau * alpha * (N - 1) / 4 overflows a float")
+    return np.exp(1j * shift)

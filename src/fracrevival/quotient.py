@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isfinite
+from math import comb
 
 import numpy as np
 
@@ -286,15 +286,10 @@ def compare_states(
 ) -> EquivalenceReport:
     """Compare the corner-started walk and the site-1 chain, both already evolved to tau.
 
-    The walk comes as its column coordinates (project or column_state).  The
-    chain side is multiplied by exp(+i tau alpha (N-1)/4), compensating the
-    constant (alpha/4)(N-1) I dropped when the graph Hamiltonian was reduced
-    to (alpha/2)A_2 + (beta/2)A_1; a phase that overflows is refused.
+    The walk comes as its column coordinates (project or column_state), and
+    the chain side is multiplied by chain.graph_phase, with its refusal.
     """
-    shift = tau * alpha * (N - 1) / 4.0
-    if not isfinite(shift):
-        raise InvalidInputError("the chain phase tau * alpha * (N - 1) / 4 overflows a float")
-    chain_side = np.exp(1j * shift) * chain_state
+    chain_side = chain_mod.graph_phase(N, alpha, tau) * chain_state
     dev = float(np.abs(graph_columns.coords - chain_side).max())
     return EquivalenceReport(
         N=N, alpha=alpha, beta=beta, tau=tau, max_deviation=dev, leakage=graph_columns.leakage

@@ -13,10 +13,10 @@ times; the dynamics only reverses in time.
 resulting certificate with the corner and antipode amplitudes of the walk and,
 for balanced FR, with the closed matrix identity
 e^{-i tau H} = e^{-i phi'} (A_0 +- i A_M)/sqrt(2) that `appendix_phase_check`
-verifies eigenvalue by eigenvalue and, at M <= 8, entrywise on the dense H.
-The right side is a scalar on each eigenspace of the antipode map J = A_M, so
-the dense check first tests exactly that H commutes with J, then
-diagonalizes the two 2^(M-1)-sized sectors J = +-1 instead of all of H.
+verifies eigenvalue by eigenvalue and, at M <= 8, entrywise.  An entry (x, y)
+of either side depends on the weight of x xor y alone (H is a Cayley graph on
+Z_2^M), so the entrywise check reads the M + 1 weight classes of column 0 from
+the site-1 chain, the walk's distance quotient, diagonalized from its couplings.
 
 `certify_numeric` reads the amplitudes at O(M), with no 2^M state, from the
 closed form: the classes w = 0 and M of walk.column_amplitudes.  At oracle
@@ -35,7 +35,7 @@ from math import copysign, gcd, inf, isfinite, isnan, isqrt, pi
 
 import numpy as np
 
-from . import kraw, walk
+from . import chain, kraw, quotient, walk
 from .errors import InvalidInputError, check_size, require_model
 
 BALANCED_FR = "balanced_FR"
@@ -370,7 +370,7 @@ class AppendixReport:
     delta_dev: float                # distance of e^{i delta} from {+-(1+-i)/sqrt(2)}
     assembled_max_dev: float        # eigenvalue-level identity deviation
     phi_consistency_dev: float      # |e^{-i phi'} -+ e^{-i phi}|, smaller branch
-    dense_identity_dev: float | None  # entrywise on the two sectors of the dense H, M <= 8 only
+    dense_identity_dev: float | None  # entrywise over the whole matrix, from the chain, M <= 8 only
     certificate: RevivalCertificate
 
     @property
@@ -399,12 +399,10 @@ def appendix_phase_check(
     phase 4 tau alpha s are multiples of 2 pi; e^{i delta} with
     delta = (tau/2)(alpha - alpha(N-1) - beta) lands on {+-(1+-i)/sqrt(2)};
     and the assembled per-eigenvalue identity holds with one fixed sign and
-    phase.  For M <= 8 the matrix identity is also checked entrywise on the
-    dense H: an exact check that H commutes with the antipode map J, then one
-    eigendecomposition per sector J = +-1, each 2^(M-1) square, whose
-    propagator must be the scalar e^{-i phi'} (1 +- i sign)/sqrt(2).  An H
-    that does not commute with J fails with its largest commutation defect
-    as the deviation.
+    phase.  For M <= 8 the matrix identity is also checked entrywise, with
+    the largest deviation over all 4^M entries read exactly from the M + 1
+    weight classes of column 0 (_chain_identity_dev): one eigendecomposition
+    of the N x N chain Hamiltonian, independent of kraw.graph_eigenvalues.
     """
     cert = check_conditions(N, alpha, beta, p=p, q=q)
     if cert.kind != BALANCED_FR:
@@ -450,7 +448,7 @@ def _appendix_identity(cert: RevivalCertificate, spec: walk.WalkSpec) -> Appendi
         min(abs(factor - np.exp(-1j * phi)), abs(factor + np.exp(-1j * phi)))
     )
 
-    dense_dev = _sector_identity_dev(walk.dense_hamiltonian(spec), tau, factor, sign) if M <= 8 else None
+    dense_dev = _chain_identity_dev(spec, tau, factor, sign) if M <= 8 else None
 
     return AppendixReport(
         N=N, alpha=alpha, beta=beta, tau=tau, delta=delta, phi_prime=phi_prime,
@@ -460,27 +458,21 @@ def _appendix_identity(cert: RevivalCertificate, spec: walk.WalkSpec) -> Appendi
     )
 
 
-def _sector_identity_dev(h: np.ndarray, tau: float, factor: complex, sign: int) -> float:
-    """max |e^{-i tau H} - factor (I + i sign J)/sqrt(2)| over all entries, from the two sectors of J.
+def _chain_identity_dev(spec: walk.WalkSpec, tau: float, factor: complex, sign: int) -> float:
+    """max |e^{-i tau H} - factor (I + i sign J)/sqrt(2)| over all 4^M entries, from the site-1 chain.
 
-    J sends vertex x to x' = 2^M - 1 - x, so J H J is h[::-1, ::-1] and
-    cross[x, y] = H[x, y'] for x, y in the top half.  If H commutes with J,
-    its sectors J = +-1 are top +- cross, on which the target is the scalar
-    factor (1 +- i sign)/sqrt(2); with D_+- each sector's propagator minus
-    its scalar, the entries of the full difference are (D_+ +- D_-)/2.  An H
-    that does not commute with J lacks the symmetry the identity rests on,
-    and its largest commutation defect is the deviation.
+    H = (beta/2)A_1 + (alpha/2)A_2 is a Cayley graph on Z_2^M, so the entry
+    (x, y) of its propagator depends on the weight w of x xor y alone, as does
+    the target's t_w: factor/sqrt(2) at w = 0, i sign factor/sqrt(2) at w = M,
+    0 elsewhere.  The maximum is exactly max_w |g_w - t_w|, with g_w the
+    site-1 chain evolved by tau, times chain.graph_phase, over sqrt(C(M, w)).
     """
-    half = h.shape[0] // 2
-    top, cross = h[:half, :half], h[:half, :half - 1:-1]
-    defect = float(max(np.abs(h[::-1, ::-1] - h).max(), np.abs(cross - cross.T).max()))
-    if defect != 0.0:
-        return defect
-    sectors = []
-    for j in (1, -1):
-        w, v = np.linalg.eigh(top + j * cross)
-        d = (v * np.exp(-1j * tau * w)) @ v.T
-        d[np.diag_indices(half)] -= factor * (1 + 1j * j * sign) / np.sqrt(2.0)
-        sectors.append(d)
-    d_plus, d_minus = sectors
-    return float(max(np.abs(d_plus + d_minus).max(), np.abs(d_plus - d_minus).max())) / 2
+    N = spec.M + 1
+    # the chain of couplings tau alpha, tau beta at unit time is the chain at tau: its spectrum fits a
+    # float where the chain's own, (alpha/4)(N-1) wider than the walk's, can overflow
+    scaled = chain.ChainSpec(N, tau * spec.alpha, tau * spec.beta)
+    coords = chain.chain_evolve(scaled, chain.site_state(N, 1), 1.0)
+    g = coords * chain.graph_phase(N, spec.alpha, tau) / np.sqrt(quotient.ColumnBasis(N).sizes)
+    target = np.zeros(N, dtype=complex)
+    target[[0, -1]] = factor * np.array([1.0, 1j * sign]) / np.sqrt(2.0)
+    return float(np.abs(g - target).max())

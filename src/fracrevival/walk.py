@@ -155,7 +155,7 @@ def column_amplitudes(spec: WalkSpec, taus, rows=None) -> np.ndarray:
 
 
 def dense_hamiltonian(spec: WalkSpec) -> np.ndarray:
-    """Materialize (alpha/2) A_2 + (beta/2) A_1 densely (oracle scale only)."""
+    """Materialize (alpha/2) A_2 + (beta/2) A_1 densely: the tests' reference, which no command calls (oracle scale only)."""
     if spec.M > ORACLE_MAX_M:
         raise ResourceLimitError(f"dense oracle refused for M = {spec.M} > {ORACLE_MAX_M}")
     h = 0.5 * spec.beta * scheme.dense_adjacency(spec.M, 1).astype(float)

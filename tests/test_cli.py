@@ -187,7 +187,10 @@ CHAIN_AT_TAU_1 = ["--alpha", "1", "--beta", "1", "--tau", "1", "--target", "chai
      ["evolve", "--N", "4"] + CHAIN_AT_TAU_1),
     (["appendix", "--N", "10", "--alpha", "1", "--beta", "1"], "3", "the spectrum needs 10 elements",
      ["appendix", "--N", "10", "--alpha", "1", "--beta", "1"]),
-], ids=["chain_hamiltonian", "chain_state", "spectrum"])
+    # at M <= 8 the entrywise identity builds the N x N chain matrix, and no 2^M table
+    (["appendix", "--N", "9", "--alpha", "0.6", "--beta", "0.4"], "6", "the chain Hamiltonian needs 81 elements",
+     ["appendix", "--N", "4", "--alpha", "2", "--beta", "2"]),
+], ids=["chain_hamiltonian", "chain_state", "spectrum", "appendix_chain"])
 def test_chain_and_spectrum_refused_before_allocation(capsys, monkeypatch, refused, limit, message, runs):
     monkeypatch.setenv("REVIVAL_MAX_M", limit)
     code, out, err = run(capsys, refused)
@@ -668,8 +671,9 @@ def start_cli(argv, stdout=subprocess.PIPE):
                             stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
-# a refusal (the 10^4-point scan), a PST, an FR above the dense identity (M > 8, where
-# LAPACK's eigh decides max_identity_dev) and a scan: mu and nu come from the fixed-order sum
+# a refusal (the 10^4-point scan), a PST, an FR above the entrywise identity (M > 8; at
+# M <= 8 the chain's LAPACK eigh decides max_identity_dev) and a scan: mu and nu come from
+# the fixed-order sum
 BLAS_KERNEL_PROBES = [
     ["verify", "--N", "9", "--alpha", "0.6", "--beta", "1"],
     ["verify", "--N", "17", "--alpha", "1.3333333333333333", "--beta", "2", "--p", "2", "--q", "3"],
@@ -1111,27 +1115,9 @@ def test_verify_fails_when_the_fwht_engine_disagrees(capsys, monkeypatch):
     assert run(capsys, argv)[0] == 2
 
 
-def test_verify_fails_when_the_appendix_identity_fails(capsys, monkeypatch):
-    # the dense oracle of the identity disagrees; the amplitude checks still pass
-    real = walk.dense_hamiltonian
-
-    def shifted(spec):
-        h = real(spec)
-        h[0, 0] += 1e-6
-        return h
-
-    argv = ["verify", "--N", "4", "--alpha", "2", "--beta", "2"]
-    assert run(capsys, argv)[0] == 0
-    monkeypatch.setattr(walk, "dense_hamiltonian", shifted)
-    assert run(capsys, argv)[0] == 2
-    assert not revival.certify_numeric(4, 2.0, 2.0).passed
-
-
-@pytest.mark.parametrize("command", ["verify", "appendix"])
-@pytest.mark.parametrize("symmetric", [True, False], ids=["J-symmetric", "asymmetric"])
-def test_a_perturbed_dense_hamiltonian_exits_two(capsys, monkeypatch, command, symmetric):
-    # J-symmetric: the sector propagators miss their scalars; asymmetric: H does not commute with J
-    real = walk.dense_hamiltonian
+def _shift_chain(monkeypatch, symmetric):
+    """Add 1e-6 to the chain Hamiltonian's [0, 0], and with symmetric also to its mirror [-1, -1]."""
+    real = chain.build_hamiltonian
 
     def shifted(spec):
         h = real(spec)
@@ -1140,12 +1126,47 @@ def test_a_perturbed_dense_hamiltonian_exits_two(capsys, monkeypatch, command, s
             h[-1, -1] += 1e-6
         return h
 
+    monkeypatch.setattr(chain, "build_hamiltonian", shifted)
+
+
+def test_verify_fails_when_the_appendix_identity_fails(capsys, monkeypatch):
+    # the chain's entrywise identity disagrees; the amplitude checks still pass
+    argv = ["verify", "--N", "4", "--alpha", "2", "--beta", "2"]
+    assert run(capsys, argv)[0] == 0
+    _shift_chain(monkeypatch, symmetric=False)
+    assert run(capsys, argv)[0] == 2
+    report = revival.certify_numeric(4, 2.0, 2.0)
+    assert not report.passed
+    assert not report.appendix.passed
+    assert max(report.checks[key] for key in ("mu_prob_dev", "nu_prob_dev", "leakage", "nu_real_part")) < 1e-9
+
+
+@pytest.mark.parametrize("command", ["verify", "appendix"])
+@pytest.mark.parametrize("symmetric", [True, False], ids=["mirror-symmetric", "asymmetric"])
+def test_a_perturbed_chain_hamiltonian_exits_two(capsys, monkeypatch, command, symmetric):
+    # the entrywise identity reads the chain; the eigenvalue-level identity does not
     argv = [command, "--N", "4", "--alpha", "2", "--beta", "2"]
     assert run(capsys, argv)[0] == 0
-    monkeypatch.setattr(walk, "dense_hamiltonian", shifted)
+    _shift_chain(monkeypatch, symmetric)
     code, out, err = run(capsys, argv)
     assert (code, err) == (2, "")
     assert json.loads(out)["appendix"]["max_identity_dev"] > 1e-7
+    assert revival.appendix_phase_check(4, 2.0, 2.0).assembled_max_dev < 1e-10
+
+
+@pytest.mark.parametrize("command", ["verify", "appendix"])
+def test_the_appendix_identity_builds_no_dense_matrix(capsys, monkeypatch, command):
+    argv = [command, "--N", "9", "--alpha", "0.6", "--beta", "0.4"]  # p/q = 3/2: balanced FR, M = 8
+    unpatched = run(capsys, argv)
+    assert unpatched[0] == 0
+    assert json.loads(unpatched[1])["appendix"]["max_identity_dev"] < 1e-10
+
+    def no_matrix(*args):
+        raise AssertionError("a dense 2^M matrix on the appendix path")
+
+    monkeypatch.setattr(walk, "dense_hamiltonian", no_matrix)
+    monkeypatch.setattr(scheme, "dense_adjacency", no_matrix)
+    assert run(capsys, argv) == unpatched
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fracrevival import oracle, revival, walk
+from fracrevival import chain, oracle, revival, walk
 from fracrevival.errors import InvalidInputError
 
 
@@ -294,15 +294,17 @@ def test_appendix_dense_check_skipped_for_large_m():
     assert report.passed
 
 
-def _full_identity_dev(report, h, sign=None):
-    """max |e^{-i tau H} - e^{-i phi'} (I + i sign J)/sqrt(2)| from one eigendecomposition of all of h."""
-    sign = report.sign if sign is None else sign
+def _full_identity_dev(h, tau, factor, sign, columns=slice(None)):
+    """max |e^{-i tau H} - factor (I + i sign J)/sqrt(2)| from one eigendecomposition of all of h.
+
+    columns restricts the maximum to some columns of the difference.
+    """
     w, v = np.linalg.eigh(h)
-    propagator = (v * np.exp(-1j * report.tau * w)) @ v.T
+    propagator = (v * np.exp(-1j * tau * w)) @ v.T
     size = h.shape[0]
     antipode = np.eye(size)[::-1]  # J sends x to 2^M - 1 - x
-    target = np.exp(-1j * report.phi_prime) * (np.eye(size) + 1j * sign * antipode) / np.sqrt(2.0)
-    return float(np.abs(propagator - target).max())
+    target = factor * (np.eye(size) + 1j * sign * antipode) / np.sqrt(2.0)
+    return float(np.abs(propagator - target)[:, columns].max())
 
 
 def _balanced_fr(N, p, k, magnitude, sign, nnn):
@@ -327,15 +329,19 @@ def _balanced_fr(N, p, k, magnitude, sign, nnn):
     sign=st.sampled_from([1.0, -1.0]),
     nnn=st.booleans(),
 )
-def test_sector_fold_equals_the_full_propagator_deviation(N, p, k, magnitude, sign, nnn):
+def test_chain_reduction_equals_the_full_propagator_deviation(N, p, k, magnitude, sign, nnn):
     alpha, beta, p, q = _balanced_fr(N, p, k, magnitude, sign, nnn)
     report = revival.appendix_phase_check(N, alpha, beta, p=p, q=q)
-    h = walk.dense_hamiltonian(walk.WalkSpec(N - 1, alpha, beta))
+    spec = walk.WalkSpec(N - 1, alpha, beta)
+    h = walk.dense_hamiltonian(spec)
     assert report.passed
-    assert abs(report.dense_identity_dev - _full_identity_dev(report, h)) <= 1e-13
-    # against the other sign the whole deviation, sqrt(2), sits on the entries (x, J x)
-    wrong = revival._sector_identity_dev(h, report.tau, np.exp(-1j * report.phi_prime), -report.sign)
-    assert abs(wrong - _full_identity_dev(report, h, -report.sign)) <= 1e-13
+    factor = np.exp(-1j * report.phi_prime)
+    assert abs(report.dense_identity_dev - _full_identity_dev(h, report.tau, factor, report.sign)) <= 1e-13
+    # against the other sign the whole deviation, sqrt(2), sits on the entries (x, J x); at a third
+    # of the FR time the propagator spreads over every weight class
+    for tau, sign in ((report.tau, -report.sign), (report.tau / 3, report.sign)):
+        reduced = revival._chain_identity_dev(spec, tau, factor, sign)
+        assert abs(reduced - _full_identity_dev(h, tau, factor, sign)) <= 1e-13
 
 
 def _record_eigh(monkeypatch):
@@ -352,18 +358,17 @@ def _record_eigh(monkeypatch):
 
 @pytest.mark.parametrize("N, alpha, beta", [
     (2, 1.0, 1.0), (3, 1.0, 0.0), (4, 2.0, 2.0), (5, -1.0, 2.0),
-    (6, 1.0, -1.0), (7, 1.0, 2.0), (8, 3.0, 1.0), (9, 1.0, 2.0),
+    (6, 1.0, -1.0), (7, 1.0, 2.0), (8, 3.0, 1.0), (9, 1.0, 2.0), (10, 1.0, 1.0),
 ])
-def test_appendix_diagonalizes_only_the_two_sectors(monkeypatch, N, alpha, beta):
+def test_appendix_diagonalizes_only_the_chain(monkeypatch, N, alpha, beta):
     shapes = _record_eigh(monkeypatch)
     revival.appendix_phase_check(N, alpha, beta)
-    half = 1 << (N - 2)
-    assert shapes == [(half, half), (half, half)]
+    assert shapes == ([(N, N)] if N <= 9 else [])
 
 
-def _shifted_hamiltonian(monkeypatch, symmetric):
-    """Add 1e-6 to H[0, 0], and with symmetric also to H[J 0, J 0], so H commutes with J or does not."""
-    real = walk.dense_hamiltonian
+def _shifted_chain(monkeypatch, symmetric):
+    """Add 1e-6 to the chain's H[0, 0], and with symmetric also to its mirror H[-1, -1]."""
+    real = chain.build_hamiltonian
 
     def shifted(spec):
         h = real(spec)
@@ -372,27 +377,27 @@ def _shifted_hamiltonian(monkeypatch, symmetric):
             h[-1, -1] += 1e-6
         return h
 
-    monkeypatch.setattr(walk, "dense_hamiltonian", shifted)
-    return shifted
+    monkeypatch.setattr(chain, "build_hamiltonian", shifted)
 
 
-def test_a_j_symmetric_perturbation_fails_through_the_sectors(monkeypatch):
-    shifted = _shifted_hamiltonian(monkeypatch, symmetric=True)
+@pytest.mark.parametrize("symmetric", [True, False], ids=["mirror-symmetric", "asymmetric"])
+def test_a_perturbed_chain_fails_as_column_zero_of_the_perturbed_graph(monkeypatch, symmetric):
+    # site 1 is the corner's column and site N the antipode's, each a single vertex; the chain is
+    # built for tau H, so the perturbed chain is the quotient of H + (1e-6/tau)(e_0 e_0^T [+ e_J0 e_J0^T]),
+    # no longer a Cayley graph, whose column 0 the reduction reads
+    _shifted_chain(monkeypatch, symmetric)
+    shapes = _record_eigh(monkeypatch)
     report = revival.appendix_phase_check(4, 2.0, 2.0)
     assert report.assembled_max_dev < 1e-10  # the eigenvalue-level checks still pass
     assert not report.passed
     assert report.dense_identity_dev > 1e-7
-    full = _full_identity_dev(report, shifted(walk.WalkSpec(3, 2.0, 2.0)))
+    assert shapes == [(4, 4)]
+    h = walk.dense_hamiltonian(walk.WalkSpec(3, 2.0, 2.0))
+    h[0, 0] += 1e-6 / report.tau
+    if symmetric:
+        h[-1, -1] += 1e-6 / report.tau
+    full = _full_identity_dev(h, report.tau, np.exp(-1j * report.phi_prime), report.sign, columns=0)
     assert abs(report.dense_identity_dev - full) <= 1e-13
-
-
-def test_an_asymmetric_perturbation_fails_through_the_commutation_defect(monkeypatch):
-    _shifted_hamiltonian(monkeypatch, symmetric=False)
-    shapes = _record_eigh(monkeypatch)
-    report = revival.appendix_phase_check(4, 2.0, 2.0)
-    assert not report.passed
-    assert report.dense_identity_dev == 1e-6  # |H[0, 0] - H[J 0, J 0]|, with no eigendecomposition
-    assert shapes == []
 
 
 def test_scan_rejects_empty_grid():
