@@ -3,8 +3,9 @@
 Krawtchouk values in exact rationals, the spectrum table, single walk
 eigenvalues, the action of each distance class, intersection numbers and the
 A_i A_1 product rule in integers, the dense walk eigendecomposition, the
-chain's hopping matrix, the lift of column coordinates and the revival scan
-evaluated at every grid point.  No production module imports this one; the
+chain's hopping matrix, the lift of column coordinates, the revival scan
+evaluated at every grid point and the revival times found by trying every
+candidate time.  No production module imports this one; the
 package re-exports its public names.
 """
 
@@ -279,3 +280,24 @@ def full_grid_scan(spec: walk.WalkSpec, tau_max: float, steps: int = revival.DEF
         max_revival_sum=float(total[k]),
         tau_at_max_sum=float(taus[k]),
     )
+
+
+def brute_force_revival_times(N: int, p: int, q: int) -> tuple[Fraction | None, Fraction | None]:
+    """The first balanced-FR and the first PST x in (0, 1), trying every x in (1/(4|d_1|))Z: revival.solve_revival's reference.
+
+    E_s - E_0 = u d_s with d_s = p s(s - M) - q s, and x = tau |u| / (2 pi)
+    (p = 1, q = 0 at beta = 0).  A revival puts every even-s phase x d_s on
+    an integer and every odd-s one on a common c, c = 1/4 or 3/4 for
+    balanced FR and 1/2 for PST, so 4 x d_1 is an integer; every phase has
+    period 1 in x.  Each candidate k/(4|d_1|) is checked in integers, s by s.
+    """
+    M = N - 1
+    d = [p * s * (s - M) - q * s for s in range(N)]
+    n = 4 * abs(d[1])
+    first = {}
+    for k in range(1, n):
+        c = k * d[1] % n
+        if (c in (n // 4, n // 2, 3 * n // 4) and all(k * v % n == 0 for v in d[0::2])
+                and all(k * v % n == c for v in d[1::2])):
+            first.setdefault(c == n // 2, Fraction(k, n))
+    return first.get(False), first.get(True)

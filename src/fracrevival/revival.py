@@ -9,22 +9,25 @@ only, at tau = pi q / beta.  With beta = 0 revival needs N odd and occurs at
 tau = pi / (2 alpha).  Negative alpha or beta are folded into |.| for the
 times; the dynamics only reverses in time.
 
-`check_conditions` applies the arithmetic, `certify_numeric` confronts the
-resulting certificate with the corner and antipode amplitudes of the walk and,
-for balanced FR, with the closed matrix identity
-e^{-i tau H} = e^{-i phi'} (A_0 +- i A_M)/sqrt(2) that `appendix_phase_check`
-verifies eigenvalue by eigenvalue and, at M <= 8, entrywise.  An entry (x, y)
-of either side depends on the weight of x xor y alone (H is a Cayley graph on
-Z_2^M), so the entrywise check reads the M + 1 weight classes of column 0 from
-the site-1 chain, the walk's distance quotient, diagonalized from its couplings.
+`check_conditions` applies the arithmetic, and `certify_numeric` confronts the
+resulting certificate with two checks.  The first is exact: `solve_revival`
+finds every revival time in Python integers (E_s - E_0 = u d_s with integers
+d_s, so each revival is one linear congruence; see RevivalTimes), and the
+certificate's times must revive as it claims.  The second reads the corner
+and antipode amplitudes at O(M), with no 2^M state, from the closed form: the
+classes w = 0 and M of walk.column_amplitudes.  For balanced FR it also
+checks the closed matrix identity e^{-i tau H} = e^{-i phi'} (A_0 +- i A_M)/sqrt(2)
+that `appendix_phase_check` verifies eigenvalue by eigenvalue and, at
+M <= 8, entrywise.  An entry (x, y) of either side depends on the weight of
+x xor y alone (H is a Cayley graph on Z_2^M), so the entrywise check reads
+the M + 1 weight classes of column 0 from the site-1 chain, the walk's
+distance quotient, diagonalized from its couplings.
 
-`certify_numeric` reads the amplitudes at O(M), with no 2^M state, from the
-closed form: the classes w = 0 and M of walk.column_amplitudes.  At oracle
-scale (M <= walk.ORACLE_MAX_M) it also evolves the corner state once with the
-Walsh-Hadamard engine at the evaluated time and records engine_dev, the larger
-deviation of its corner and antipode entries from the closed form; the verdict
-requires engine_dev below PROB_TOL, so every small verdict rests on two
-independent engines.
+The float checks are cross-checks.  Where eps tau max|E| reaches a gate
+(walk.resolves), rounding alone can move a value that far, so the report
+names the gate as one the float cannot resolve instead of failing on it;
+the exact check still decides.  Exit 2 then means that the certificate and
+the integers disagree, or that a float check missed a gate it resolves.
 """
 
 from __future__ import annotations
@@ -93,6 +96,78 @@ def _fr_time(alpha: float, beta: float, q: int | None) -> float:
     """The first balanced-FR time: pi q / (2|beta|), or pi / (2|alpha|) when beta = 0."""
     # 0.5 * pi is exact, and unlike 2|beta| it cannot overflow
     return 0.5 * pi * q / abs(beta) if beta != 0.0 else 0.5 * pi / abs(alpha)
+
+
+@dataclass(frozen=True)
+class RevivalTimes:
+    """Every antipodal revival of the corner-started walk, exactly, as x = tau |u| / (2 pi).
+
+    With alpha/beta = p/q and u = beta/q (u = alpha, p = 1, q = 0 at
+    beta = 0), E_s - E_0 = u d_s with the integers d_s = p s(s - M) - q s.
+    The corner state weighs eigenspace s by C(M, s)/2^M and the antipode by
+    that times (-1)^s, so the walk sits on the two corners exactly when every
+    even-s phase x d_s is an integer and every odd-s one is a common c mod 1:
+    balanced FR for c = 1/4 or 3/4, PST for c = 1/2.  Since 4 x d_1 is then an
+    integer too, x = k/G with G the gcd of the even d_s, of d_s - d_1 over odd
+    s and of 4 d_1, and the odd phase is c = k a/4 mod 1 with a = 4 d_1/G:
+    one linear congruence k a = 4c (mod 4).  G = 0 (every d_s zero) means a
+    scalar Hamiltonian and no revival.
+    """
+
+    G: int
+    a: int
+
+    def quarter_turns(self, num: int, den: int) -> int | None:
+        """The common odd-s phase at x = num/den in quarter turns (1 or 3 balanced FR, 2 PST, 0 the start), or None."""
+        k, rest = divmod(num * self.G, den)
+        return None if rest else k * self.a % 4
+
+    @property
+    def fr(self) -> Fraction | None:
+        """The first balanced-FR x, k = 1 when a is odd."""
+        return Fraction(1, self.G) if self.a % 2 else None
+
+    @property
+    def pst(self) -> Fraction | None:
+        """The first PST x: k a = 2 (mod 4) at k = 2 for odd a, k = 1 for a = 2 (mod 4)."""
+        return Fraction(1 + self.a % 2, self.G) if self.a % 4 else None
+
+    @property
+    def kind(self) -> str:
+        return BALANCED_FR if self.fr else PST_ONLY if self.pst else NONE
+
+
+def solve_revival(N: int, p: int, q: int) -> RevivalTimes:
+    """The exact revival times of the N-site model with alpha/beta = p/q (p = 1, q = 0 at beta = 0), Python ints only."""
+    M = N - 1
+    d = [p * s * (s - M) - q * s for s in range(N)]
+    G = gcd(*d[2::2], *(v - d[1] for v in d[3::2]), 4 * d[1])
+    return RevivalTimes(G=G, a=4 * d[1] // G if G else 0)
+
+
+def _integers(cert: RevivalCertificate) -> tuple[int, int] | None:
+    """(p, q) with E_s - E_0 = u (p s(s - M) - q s): (1, 0) at beta = 0, None for a ratio with no close rational."""
+    if cert.beta == 0.0:
+        return 1, 0
+    return None if cert.p is None else (cert.p, cert.q)
+
+
+def _confirms(cert: RevivalCertificate) -> bool | None:
+    """Whether solve_revival confirms the certificate's claims, or None when the ratio gives no integers.
+
+    tau_fr = pi q/(2|beta|) is x = 1/4 and tau_pst x = 1/2 (pi/(2|alpha|) is
+    x = 1/4 at beta = 0): balanced FR needs x = 1/4 to be a balanced-FR time,
+    PST only x = 1/2 to be a PST time, and a refusal no balanced-FR time at all.
+    """
+    integers = _integers(cert)
+    if integers is None:
+        return None
+    times = solve_revival(cert.N, *integers)
+    if cert.kind == BALANCED_FR:
+        return times.quarter_turns(1, 4) in (1, 3)
+    if cert.kind == PST_ONLY:
+        return times.quarter_turns(1, 2) == 2
+    return times.fr is None
 
 
 def check_conditions(
@@ -179,6 +254,10 @@ def _screen(spec: walk.WalkSpec, taus: np.ndarray):
     on the ceil((steps + 1)/B) anchors and B offsets only, and one matrix
     product (BLAS) forms the weighted sums.  The anchors start at tau_max, so
     phase_table makes its refusals on the grid's largest time before any exp.
+    Both arrays keep the product's layout: entry (j, a) is grid row
+    steps - aB - j.  The rows it holds at and below 0 (tau = 0, swept but never
+    a hit, and times outside the grid) all lie in the last column, and their
+    total reads -inf, so no comparison admits them.
 
     delta bounds the distance of either screened value from the one
     antipodal_scan gives at the same grid point.  With eps = 2^-52,
@@ -210,12 +289,11 @@ def _screen(spec: walk.WalkSpec, taus: np.ndarray):
     offsets = walk.phase_table(spec, taus[:block])
     weighted = anchors[:, :, None] * kraw.column_weights(spec.M, (0, spec.M)).T
     sums = offsets.conj() @ weighted.transpose(1, 0, 2).reshape(spec.M + 1, -1)
-    # sums[j, (a, c)] is row steps - a block - j; rows below 0 are dropped
-    rows = sums.reshape(block, -1, 2).transpose(1, 0, 2).reshape(-1, 2)[steps::-1]
-    corner, total = _probabilities(rows[:, 0], rows[:, 1])
+    corner, total = _probabilities(*sums.reshape(block, -1, 2).transpose(2, 0, 1))
+    total[steps - (total.shape[1] - 1) * block:, -1] = -inf
 
-    eps, eta = 2.0 ** -52, 2.0 ** -1074
-    largest = float(np.abs(kraw.graph_eigenvalues(spec)).max())
+    eps, eta = walk.EPS, 2.0 ** -1074
+    largest = spec.reach
     delta = (64 * eps * (1.0 + float(taus[-1]) * largest) + 8 * (spec.M + 1) * eps
              + 16 * (steps + 2) * (eta * largest))
     return corner, total, delta
@@ -242,18 +320,30 @@ def scan_balanced_fr(
     nor a hit.  A large delta (a large tau max|E|) admits more points, up to
     the whole grid.
     """
+    return _scan(spec, tau_max, steps)[0]
+
+
+def _scan(spec: walk.WalkSpec, tau_max: float, steps: int, tau: float | None = None):
+    """scan_balanced_fr's outcome, with the time and amplitudes of one more point from the same exact pass.
+
+    The point is tau, appended to the exact evaluations, or the grid's best
+    point (tau_at_max_sum) when tau is None; its row is the one
+    antipodal_amplitudes gives at that time, bit for bit.
+    """
     taus = tau_grid(0.0, tau_max, steps)
     corner, total, delta = _screen(spec, taus)
-    near = total >= total[1:].max() - 2 * delta
+    near = total >= total.max() - 2 * delta
     near |= (total >= 1.0 - SCAN_TOL - delta) & (np.abs(corner - 0.5) <= SCAN_TOL + delta)
-    near[0] = False
-    idx = np.flatnonzero(near)
+    offset, anchor = np.divmod(np.flatnonzero(near), near.shape[1])
+    idx = np.sort(steps - len(total) * anchor - offset)
 
-    corner, total = _probabilities(*walk.antipodal_scan(spec, taus[idx]))
+    times = taus[idx] if tau is None else np.append(taus[idx], tau)
+    mus, nus = walk.antipodal_scan(spec, times)
+    corner, total = _probabilities(mus[:idx.size], nus[:idx.size])
     balanced = (total >= 1.0 - SCAN_TOL) & (np.abs(corner - 0.5) <= SCAN_TOL) & (taus[idx] > 0)
     hits = idx[balanced]
     best = int(np.argmax(total))
-    return ScanOutcome(
+    outcome = ScanOutcome(
         tau_max=float(tau_max),
         steps=steps,
         balanced_found=bool(hits.size),
@@ -261,6 +351,8 @@ def scan_balanced_fr(
         max_revival_sum=float(total[best]),
         tau_at_max_sum=float(taus[idx[best]]),
     )
+    at = best if tau is None else -1
+    return outcome, float(times[at]), walk.AntipodalAmplitudes.of(mus[at], nus[at])
 
 
 def _scan_window(cert: RevivalCertificate) -> float:
@@ -281,6 +373,8 @@ class CertifyReport:
     nu: complex
     leakage: float
     checks: dict
+    exact: bool | None            # solve_revival confirms the certificate; None for a ratio with no close rational
+    unresolved: tuple[str, ...]   # the checks whose tolerance the float cannot resolve at their time
     scan: ScanOutcome | None = None              # the refuting sweep, kind none only
     appendix: AppendixReport | None = None      # the identity on this certificate, balanced FR only
 
@@ -290,14 +384,19 @@ def certify_numeric(
 ) -> CertifyReport:
     """Run the evolution the certificate promises and measure the outcome.
 
-    balanced_FR: at tau_FR both antipodal probabilities must be 1/2 within
-    1e-9 with leakage below 1e-9 and nu pure imaginary once the global phase
-    makes mu real; PST at 2 tau_FR and the appendix_phase_check identity
-    (report.appendix) are checked as well.  PST_only: probability one at the
-    antipode at tau_PST.  none: a scan of DEFAULT_SCAN_STEPS points over one
-    period must find no balanced revival.  At M <= walk.ORACLE_MAX_M every
-    kind also needs the FWHT evolution to match the closed-form amplitudes
-    within 1e-9 (checks["engine_dev"]).  The certificate is derived once.
+    The exact check (report.exact) comes first: solve_revival must confirm
+    the certificate (_confirms); it is None only for a ratio with no close
+    rational, which gives no integers.  Then the float checks, each at its
+    gate unless the float cannot resolve that gate at its time
+    (report.unresolved).  balanced_FR: at tau_FR both antipodal probabilities
+    must be 1/2 within 1e-9 with leakage below 1e-9 and nu pure imaginary
+    once the global phase makes mu real; PST at 2 tau_FR and the
+    appendix_phase_check identity (report.appendix) are checked as well.
+    PST_only: probability one at the antipode at tau_PST.  none: a scan of
+    DEFAULT_SCAN_STEPS points over one period must find no balanced revival;
+    mu and nu, at tau_FR or else at the scan's best point, come from the
+    scan's exact pass.  The certificate and the spectrum (spec.energies) are
+    derived once, and no 2^M state is built.
     """
     cert = check_conditions(N, alpha, beta, p=p, q=q)
     spec = walk.WalkSpec(M=N - 1, alpha=alpha, beta=beta)
@@ -317,36 +416,30 @@ def certify_numeric(
             "pst_at_double": abs(complex(nus[1])),
         }
         appendix = _appendix_identity(cert, spec)
-        passed = (
-            checks["mu_prob_dev"] < PROB_TOL
-            and checks["nu_prob_dev"] < PROB_TOL
-            and checks["leakage"] < PROB_TOL
-            and checks["nu_real_part"] < PROB_TOL
-            and checks["pst_at_double"] > 1.0 - PROB_TOL
-            and appendix.passed
-        )
+        # (name, holds, tolerance, time)
+        gates = [(name, checks[name] < PROB_TOL, PROB_TOL, tau)
+                 for name in ("mu_prob_dev", "nu_prob_dev", "leakage", "nu_real_part")]
+        gates.append(("pst_at_double", checks["pst_at_double"] > 1.0 - PROB_TOL, PROB_TOL, cert.tau_pst))
     elif cert.kind == PST_ONLY:
         tau = cert.tau_pst
         amp = walk.antipodal_amplitudes(spec, tau)
         checks = {"nu_abs": abs(amp.nu), "leakage": abs(amp.leakage)}
-        passed = checks["nu_abs"] > 1.0 - PROB_TOL
+        gates = [("nu_abs", checks["nu_abs"] > 1.0 - PROB_TOL, PROB_TOL, tau)]
     else:
-        # kind == NONE: refute by sweeping one period of the spectrum
-        outcome = scan_balanced_fr(spec, _scan_window(cert))
-        tau = (_fr_time(cert.alpha, cert.beta, cert.q) if cert.beta == 0.0 or cert.q
-               else outcome.tau_at_max_sum)
-        amp = walk.antipodal_amplitudes(spec, tau)
+        # kind == NONE: sweep one period of the spectrum; mu and nu at tau_FR (or the best point) come from its exact pass
+        tau = _fr_time(cert.alpha, cert.beta, cert.q) if cert.beta == 0.0 or cert.q else None
+        outcome, tau, amp = _scan(spec, _scan_window(cert), DEFAULT_SCAN_STEPS, tau)
         checks = {"max_revival_sum": outcome.max_revival_sum}
-        passed = not outcome.balanced_found
+        gates = [("max_revival_sum", not outcome.balanced_found, SCAN_TOL, outcome.tau_max)]
 
-    if spec.M <= walk.ORACLE_MAX_M:
-        psi = walk.evolve_graph(spec, walk.corner_state(spec.M), tau)
-        checks["engine_dev"] = float(max(abs(psi[0] - amp.mu), abs(psi[-1] - amp.nu)))
-        passed = passed and checks["engine_dev"] < PROB_TOL
+    exact = _confirms(cert)
+    unresolved = tuple(name for name, _, tolerance, time in gates if not walk.resolves(spec, time, tolerance))
+    passed = (exact is not False and all(holds or name in unresolved for name, holds, _, _ in gates)
+              and (appendix is None or appendix.passed))
     return CertifyReport(
         certificate=cert, passed=passed, tau_evaluated=tau,
-        mu=amp.mu, nu=amp.nu, leakage=amp.leakage, checks=checks, scan=outcome,
-        appendix=appendix,
+        mu=amp.mu, nu=amp.nu, leakage=amp.leakage, checks=checks, exact=exact,
+        unresolved=unresolved, scan=outcome, appendix=appendix,
     )
 
 
@@ -372,16 +465,17 @@ class AppendixReport:
     phi_consistency_dev: float      # |e^{-i phi'} -+ e^{-i phi}|, smaller branch
     dense_identity_dev: float | None  # entrywise over the whole matrix, from the chain, M <= 8 only
     certificate: RevivalCertificate
+    winding_exact: bool             # every M_s a multiple of 2 pi, in integers
+    step_phase_exact: bool          # every 4 tau alpha s a multiple of 2 pi, in integers
+    resolved: bool                  # the float resolves the 1e-10 gate at tau (walk.resolves)
 
     @property
     def passed(self) -> bool:
-        devs = [
-            self.winding_max_dev, self.step_phase_max_dev,
-            self.delta_dev, self.assembled_max_dev,
-        ]
+        """The exact winding and step phases, and the float deviations below 1e-10 wherever the float resolves that."""
+        devs = [self.delta_dev, self.assembled_max_dev]
         if self.dense_identity_dev is not None:
             devs.append(self.dense_identity_dev)
-        return max(devs) < 1e-10
+        return self.winding_exact and self.step_phase_exact and (max(devs) < 1e-10 or not self.resolved)
 
     @property
     def max_identity_dev(self) -> float:
@@ -396,13 +490,15 @@ def appendix_phase_check(
 
     Checks, for every eigenspace index s: the winding term
     M_s = 4 tau alpha s^2 - 2 tau alpha (N-1) s - 2 tau beta s and the step
-    phase 4 tau alpha s are multiples of 2 pi; e^{i delta} with
+    phase 4 tau alpha s are multiples of 2 pi, decided in integers (their
+    float deviations are reported too); e^{i delta} with
     delta = (tau/2)(alpha - alpha(N-1) - beta) lands on {+-(1+-i)/sqrt(2)};
     and the assembled per-eigenvalue identity holds with one fixed sign and
     phase.  For M <= 8 the matrix identity is also checked entrywise, with
     the largest deviation over all 4^M entries read exactly from the M + 1
     weight classes of column 0 (_chain_identity_dev): one eigendecomposition
     of the N x N chain Hamiltonian, independent of kraw.graph_eigenvalues.
+    The float checks gate at 1e-10 where the float resolves that at tau.
     """
     cert = check_conditions(N, alpha, beta, p=p, q=q)
     if cert.kind != BALANCED_FR:
@@ -450,12 +546,23 @@ def _appendix_identity(cert: RevivalCertificate, spec: walk.WalkSpec) -> Appendi
 
     dense_dev = _chain_identity_dev(spec, tau, factor, sign) if M <= 8 else None
 
+    # tau_fr is x = 1/4 (RevivalTimes): with tau u = 2 pi x sign(u), M_s is 2 pi (4p s^2 - 2(pM + q)s)/4
+    # and 4 tau alpha s is 2 pi (4p s)/4, up to that sign
+    p, q = _integers(cert)
     return AppendixReport(
         N=N, alpha=alpha, beta=beta, tau=tau, delta=delta, phi_prime=phi_prime,
         sign=sign, winding_max_dev=winding_dev, step_phase_max_dev=step_dev,
         delta_dev=delta_dev, assembled_max_dev=assembled_dev,
         phi_consistency_dev=phi_consistency, dense_identity_dev=dense_dev, certificate=cert,
+        winding_exact=_quarters_whole([4 * p * k * k - 2 * (p * M + q) * k for k in range(N)]),
+        step_phase_exact=_quarters_whole([4 * p * k for k in range(N)]),
+        resolved=walk.resolves(spec, tau, 1e-10),
     )
+
+
+def _quarters_whole(coefficients: list[int]) -> bool:
+    """Whether every phase 2 pi c/4 of the integers c given is a whole number of turns: 4 divides their gcd."""
+    return gcd(*coefficients) % 4 == 0
 
 
 def _chain_identity_dev(spec: walk.WalkSpec, tau: float, factor: complex, sign: int) -> float:

@@ -17,12 +17,13 @@ quotient compares their column coordinates with the chain, and a verdict
 reads the classes w = 0 and M, the start corner and the antipode, at O(M)
 per time (antipodal_scan, and antipodal_amplitudes as its one-point case).
 None of them builds a 2^M state.  The full evolution is the engine for
-general states and, at oracle scale, the cross-check of those closed forms.
+general states and the tests' oracle of those closed forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,7 @@ from . import kraw, scheme
 from .errors import InvalidInputError, ResourceLimitError, check_size, eigenphases, require_length, require_model, require_unit_norm
 
 ORACLE_MAX_M = 10
+EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,18 @@ class WalkSpec:
     @property
     def size(self) -> int:
         return 1 << self.M
+
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """kraw.graph_eigenvalues, computed once per spec (read-only), with its size guard."""
+        energies = kraw.graph_eigenvalues(self)
+        energies.flags.writeable = False
+        return energies
+
+    @cached_property
+    def reach(self) -> float:
+        """max |E_s|, computed once per spec."""
+        return float(np.abs(self.energies).max())
 
 
 def basis_state(M: int, vertex: int) -> np.ndarray:
@@ -109,7 +123,17 @@ def phase_table(spec: WalkSpec, tau) -> np.ndarray:
 
     An array of times gives one row per time.
     """
-    return eigenphases(tau, kraw.graph_eigenvalues(spec))
+    return eigenphases(tau, spec.energies)
+
+
+def resolves(spec: WalkSpec, tau: float, tolerance: float) -> bool:
+    """Whether a float gate of this tolerance at time tau lies above eps |tau| max|E|.
+
+    That product is how far rounding alone moves a phase tau E_s.  A gate at
+    or below it cannot tell a deviation from rounding, so a report that
+    cannot resolve it says so instead of failing on it.
+    """
+    return EPS * abs(tau) * spec.reach < tolerance
 
 
 def evolve_graph(spec: WalkSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
@@ -182,8 +206,8 @@ def antipodal_amplitudes(spec: WalkSpec, tau: float) -> AntipodalAmplitudes:
     The one-point case of antipodal_scan, so equal bit for bit to the row of
     any scan that holds tau: read from the closed form at O(M), with no 2^M
     state.  evolve_graph(spec, corner_state(M), tau)[0] and [-1] give the
-    same amplitudes within rounding, and certify_numeric checks this at
-    oracle scale.  antipodal_scan makes the refusals.
+    same amplitudes within rounding (the tests' oracle).  antipodal_scan
+    makes the refusals.
     """
     mus, nus = antipodal_scan(spec, [tau])
     return AntipodalAmplitudes.of(mus[0], nus[0])

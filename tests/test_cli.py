@@ -30,6 +30,12 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def certify(argv):
+    """revival.certify_numeric on the model of a verify or appendix command line."""
+    args = cli.build_parser().parse_args(argv)
+    return revival.certify_numeric(args.N, args.alpha, args.beta, p=args.p, q=args.q)
+
+
 def test_verify_unweighted_graph(capsys):
     code, out, _ = run(capsys, ["verify", "--N", "4", "--alpha", "2", "--beta", "2"])
     assert code == 0
@@ -1100,19 +1106,73 @@ def test_overflowing_phase_exits_one_without_warnings(capsys, target):
     assert err.startswith("error: tau * max|E| overflows")
 
 
-def test_verify_fails_when_the_fwht_engine_disagrees(capsys, monkeypatch):
-    # at oracle scale the verdict also rests on the FWHT evolution
-    real = walk.evolve_graph
+@pytest.mark.parametrize("argv, refuted", [
+    (["verify", "--N", "4", "--alpha", "2", "--beta", "2"], revival.RevivalTimes(G=1, a=0)),  # FR: no revival
+    (["verify", "--N", "4", "--alpha", "2", "--beta", "1"], revival.RevivalTimes(G=1, a=0)),  # PST: no revival
+    (["verify", "--N", "5", "--alpha", "2", "--beta", "2"], revival.RevivalTimes(G=4, a=1)),  # refusal: FR at 1/4
+], ids=["balanced_FR", "PST_only", "none"])
+def test_verify_fails_when_the_solver_disagrees(capsys, monkeypatch, argv, refuted):
+    # the amplitudes still pass; the exact check alone decides
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(revival, "solve_revival", lambda *args: refuted)
+    assert run(capsys, argv)[0] == 2
+    report = certify(argv)
+    assert report.exact is False and report.unresolved == ()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--N", "4", "--alpha", "2", "--beta", "2"],    # balanced FR
+    ["verify", "--N", "4", "--alpha", "2", "--beta", "1"],    # PST only
+    ["verify", "--N", "12", "--alpha", "1", "--beta", "1"],   # balanced FR above M = 10
+], ids=["balanced_FR", "PST_only", "balanced_FR-M11"])
+def test_verify_fails_when_an_amplitude_misses_a_resolvable_gate(capsys, monkeypatch, argv):
+    # amplitudes shrunk by 1e-6 move each probability by ~1e-6, far above 1e-9 and eps tau max|E| < 1e-13
+    real = walk.column_amplitudes
 
     def shifted(*args):
-        psi = real(*args)
-        psi[0] += 1e-6
-        return psi
+        return real(*args) * (1.0 - 1e-6)
 
-    argv = ["verify", "--N", "4", "--alpha", "2", "--beta", "2"]
     assert run(capsys, argv)[0] == 0
-    monkeypatch.setattr(walk, "evolve_graph", shifted)
+    monkeypatch.setattr(walk, "column_amplitudes", shifted)
     assert run(capsys, argv)[0] == 2
+    report = certify(argv)
+    assert report.exact is True and report.unresolved == ()
+
+
+# each exited 2 before the exact verdict: the model is fine and a double cannot resolve tau max|E| to the gate
+FORMERLY_EXIT_TWO = [
+    ("", ["verify", "--N", "9", "--alpha", "999999", "--beta", "1e6", "--p", "999999", "--q", "1000000"]),
+    ("", ["appendix", "--N", "9", "--alpha", "999999", "--beta", "1e6", "--p", "999999", "--q", "1000000"]),
+    ("", ["verify", "--N", "4", "--alpha", "1", "--beta", "1e-300"]),
+    ("1000", ["verify", "--N", "1000", "--alpha", "1", "--beta", "1"]),
+    ("1000", ["appendix", "--N", "1000", "--alpha", "1", "--beta", "1"]),
+    ("", ["quotient", "--N", "9", "--alpha", "1e-5", "--beta", "3", "--tau", "fr"]),
+    ("", ["quotient", "--N", "11", "--alpha", "1e-5", "--beta", "3", "--tau", "fr"]),
+    ("", ["quotient", "--N", "15", "--alpha", "1e-5", "--beta", "3", "--tau", "fr"]),
+    ("", ["quotient", "--N", "7", "--alpha", "1e-5", "--beta", "3", "--tau", "fr"]),  # 2 under one BLAS kernel
+]
+
+
+@pytest.mark.parametrize("guard, argv", FORMERLY_EXIT_TWO, ids=lambda value: " ".join(value) if value else "")
+def test_a_verdict_the_float_cannot_resolve_exits_zero(capsys, monkeypatch, guard, argv):
+    if guard:
+        monkeypatch.setenv("REVIVAL_MAX_M", guard)
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    if argv[0] == "quotient":
+        assert payload["equivalence"]["passed"] is True
+        assert not quotient.equivalence_check(int(argv[2]), 1e-5, 3.0, payload["equivalence"]["tau"]).resolved
+        return
+    report = certify(argv)
+    assert report.exact is True and report.passed
+    if argv[2] == "4":
+        assert report.unresolved == ("nu_abs",)  # tau_pst ~ 3.1e300: the float reads a leakage of 0.68
+    else:
+        # the float winding misses its old 1e-10 gate: 7.1e-9 at N = 9, 6.9e-10 at N = 1000
+        assert report.appendix.winding_max_dev > 1e-10
+        assert report.appendix.winding_exact and report.appendix.step_phase_exact
+        assert report.appendix.resolved == (argv[2] == "1000")
 
 
 def _shift_chain(monkeypatch, symmetric):
@@ -1173,8 +1233,13 @@ def test_the_appendix_identity_builds_no_dense_matrix(capsys, monkeypatch, comma
     ["verify", "--N", "16", "--alpha", "1", "--beta", "1"],    # balanced FR, M = 15
     ["verify", "--N", "17", "--alpha", "2", "--beta", "1"],    # PST only (p even), M = 16
     ["verify", "--N", "12", "--alpha", "1", "--beta", "2"],    # refusal, M = 11
+    ["verify", "--N", "9", "--alpha", "0.6", "--beta", "0.4"],   # balanced FR, M = 8 (p/q = 3/2)
+    ["verify", "--N", "9", "--alpha", "0.6", "--beta", "1"],     # parity refusal, M = 8 (p/q = 3/5)
+    ["verify", "--N", "8", "--alpha", "1.3", "--beta", "0"],     # refusal at beta = 0, M = 7
+    ["verify", "--N", "4", "--alpha", "2", "--beta", "2"],       # balanced FR, M = 3
+    ["verify", "--N", "4", "--alpha", "2", "--beta", "1"],       # PST only, M = 3
 ])
-def test_verify_above_oracle_scale_builds_no_state(capsys, monkeypatch, argv):
+def test_no_verify_cell_builds_a_state(capsys, monkeypatch, argv):
     unpatched = run(capsys, argv)
     assert unpatched[0] == 0
 

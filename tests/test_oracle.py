@@ -14,6 +14,7 @@ ORACLE_NAMES = {
     "graph_eigenvalue", "hamming_distance", "SchemeOperator", "apply_adjacency", "intersection_number",
     "intersection_table", "BoseMesnerReport", "verify_bose_mesner_row", "dense_oracle_evolve",
     "remove_global_phase", "hopping_matrix", "lift", "weight_masks", "full_grid_scan",
+    "brute_force_revival_times",
 }
 PUBLIC = [
     "BALANCED_FR", "ChainSpec", "ColumnBasis", "ColumnState", "InvalidInputError", "NONE",

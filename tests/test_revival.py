@@ -1,5 +1,7 @@
 """Revival arithmetic, numeric certification, and the antipodal phase identity."""
 
+import dataclasses
+from fractions import Fraction
 from math import gcd, pi
 
 import numpy as np
@@ -206,6 +208,19 @@ def test_appendix_nnn_only_case():
     assert report.passed
     # M_s = 2 pi s^2 - pi (N-1) s is a multiple of 2 pi because N-1 is even
     assert report.winding_max_dev < 1e-10
+
+
+@pytest.mark.parametrize("N, alpha, beta", [(5, 2.0, 2.0), (6, 1.0, 2.0), (4, 1.0, 0.0), (6, -1.3, 0.0)])
+def test_the_appendix_decides_its_winding_in_integers(N, alpha, beta):
+    # the parity rule refuses these; claim FR at the would-be time anyway
+    cert = revival.check_conditions(N, alpha, beta)
+    assert cert.kind == revival.NONE
+    tau = revival._fr_time(alpha, beta, cert.q)
+    forged = dataclasses.replace(cert, kind=revival.BALANCED_FR, tau_fr=tau, tau_pst=2 * tau)
+    report = revival._appendix_identity(forged, walk.WalkSpec(N - 1, alpha, beta))
+    assert not report.winding_exact and report.step_phase_exact and report.resolved
+    assert report.winding_max_dev > 1.0  # a quarter or half turn off, in floats too
+    assert not report.passed
 
 
 def test_appendix_anchor_fixes_phase():
@@ -419,11 +434,85 @@ def test_scan_grid_is_bounded():
     (walk.ORACLE_MAX_M + 2, 1.0, 1.0), (walk.ORACLE_MAX_M + 2, 1.0, 0.0),
     (walk.ORACLE_MAX_M + 2, 2.0, 1.0),
 ])
-def test_engine_cross_check_runs_exactly_at_oracle_scale(N, alpha, beta):
+def test_the_solver_confirms_the_certificate_at_every_scale(N, alpha, beta):
     rep = revival.certify_numeric(N, alpha, beta)
-    assert ("engine_dev" in rep.checks) == (N - 1 <= walk.ORACLE_MAX_M)
-    assert rep.checks.get("engine_dev", 0.0) < 1e-12
+    assert rep.exact is True
+    assert rep.unresolved == ()
+    assert "engine_dev" not in rep.checks
     assert rep.passed
+
+
+def test_an_unrationalizable_ratio_has_no_exact_check():
+    rep = revival.certify_numeric(5, 1.0 + 1e-8, 1.0)  # no q <= 1e6 within 1e-9
+    assert rep.certificate.kind == revival.NONE and rep.certificate.p is None
+    assert rep.exact is None
+    assert rep.passed
+
+
+coprime_ratios = st.tuples(st.integers(-30, 30), st.integers(1, 30)).filter(lambda r: gcd(*r) == 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(2, 200), ratio=st.one_of(st.just((1, 0)), coprime_ratios))
+def test_the_solver_equals_the_brute_force(N, ratio):
+    times = revival.solve_revival(N, *ratio)
+    assert (times.fr, times.pst) == oracle.brute_force_revival_times(N, *ratio)
+    for x, turns in ((times.fr, (1, 3)), (times.pst, (2,))):
+        if x is not None:
+            assert times.quarter_turns(x.numerator, x.denominator) in turns
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    N=st.integers(3, 200),
+    p=st.integers(0, 999),
+    q=st.integers(0, 999),
+    sign_alpha=st.sampled_from([1, -1]),
+    sign_beta=st.sampled_from([1, -1]),
+)
+@example(N=3, p=1, q=0, sign_alpha=-1, sign_beta=1)  # beta = 0, N odd
+@example(N=4, p=1, q=0, sign_alpha=1, sign_beta=1)   # beta = 0, N even
+def test_the_solver_equals_the_parity_rule(N, p, q, sign_alpha, sign_beta):
+    # q = 0 is beta = 0, with (p, q) = (1, 0) and u = alpha
+    assume(gcd(p, q) == 1)
+    rp = sign_alpha * sign_beta * p
+    beta = float(sign_beta * q)
+    cert = revival.check_conditions(N, float(sign_alpha * p), beta, *((rp, q) if q else ()))
+    times = revival.solve_revival(N, rp, q)
+    assert times.kind == cert.kind
+    unit = abs(beta) / q if q else float(p)  # |u|
+    assert (2 * pi * times.fr / unit if times.fr else None) == pytest.approx(cert.tau_fr, rel=1e-12)
+    if cert.kind != revival.NONE:
+        assert 2 * pi * times.pst / unit == pytest.approx(cert.tau_pst, rel=1e-12)
+    assert revival._confirms(cert) is True
+
+
+@pytest.mark.parametrize("p, q, kind", [(1, 1, revival.BALANCED_FR), (2, 1, revival.PST_ONLY), (1, 2, revival.NONE),
+                                        (3, 5, revival.BALANCED_FR), (4, 5, revival.PST_ONLY)])
+def test_two_sites_revive_at_a_quarter_turn_of_beta_for_every_ratio(p, q, kind):
+    # the NNN term is a multiple of the identity: FR at x = 1/(4q), tau = pi/(2|beta|)
+    times = revival.solve_revival(2, p, q)
+    assert (times.kind, times.fr, times.pst) == (revival.BALANCED_FR, Fraction(1, 4 * q), Fraction(1, 2 * q))
+    cert = revival.check_conditions(2, p / q, 1.0, p, q)
+    assert cert.kind == kind
+    # the certificate's times still revive as it claims; only a refusal is refuted
+    assert revival._confirms(cert) is (kind != revival.NONE)
+
+
+@pytest.mark.parametrize("N", range(2, 28))
+@pytest.mark.parametrize("beta", [1.0, -0.37])
+def test_the_plain_hypercube_transfers_perfectly_at_pi_over_beta(N, beta):
+    # alpha = 0 is the hypercube with edge weight beta/2: PST at pi/|beta|, FR only on one edge (N = 2)
+    times = revival.solve_revival(N, 0, 1)
+    if N == 2:
+        assert (times.kind, times.fr) == (revival.BALANCED_FR, Fraction(1, 4))
+        return
+    assert (times.kind, times.pst) == (revival.PST_ONLY, Fraction(1, 2))
+    rep = revival.certify_numeric(N, 0.0, beta)
+    assert rep.certificate.kind == revival.PST_ONLY
+    assert rep.certificate.tau_pst == pytest.approx(pi / abs(beta), rel=1e-15)
+    assert rep.exact is True and rep.passed
+    assert abs(rep.nu) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=300, deadline=None)
@@ -501,9 +590,15 @@ def test_screen_error_is_within_a_quarter_of_its_bound(inputs):
     spec, tau_max = scan_case(*model, stretch)
     taus = revival.tau_grid(0.0, tau_max, steps)
     corner, total, delta = revival._screen(spec, taus)
+    # entry (j, a) is grid row steps - a B - j, B offsets; rows 0 and below read -inf
+    offset, anchor = np.indices(total.shape)
+    rows = steps - len(total) * anchor - offset
+    grid = rows > 0
+    assert sorted(rows[grid]) == list(range(1, steps + 1))
+    assert (total[~grid] == -np.inf).all()
     exact_corner, exact_total = revival._probabilities(*walk.antipodal_scan(spec, taus))
-    assert np.abs(corner - exact_corner).max() <= delta / 4
-    assert np.abs(total - exact_total).max() <= delta / 4
+    assert np.abs(corner[grid] - exact_corner[rows[grid]]).max() <= delta / 4
+    assert np.abs(total[grid] - exact_total[rows[grid]]).max() <= delta / 4
 
 
 def count_exp_elements(monkeypatch) -> list:
@@ -536,3 +631,32 @@ def test_a_large_tau_times_energy_falls_back_toward_the_full_grid(monkeypatch, a
     screened = revival.scan_balanced_fr(spec, tau_max)
     assert sum(counted) > share * (revival.DEFAULT_SCAN_STEPS + 1) * 9
     assert repr(screened) == repr(oracle.full_grid_scan(spec, tau_max))
+
+
+def refusal_cases():
+    """(N, alpha, beta, p, q) refused by the parity rule: beta = 0, small and large q, and a ratio with no close rational."""
+    for N in range(2, 13):
+        if N % 2 == 0:
+            yield N, 1.3, 0.0, None, None
+            yield N, 0.7 * 1 / 10 ** 6, 0.7, 1, 10 ** 6
+        else:
+            yield N, 0.7 * 999_997 / 999_999, 0.7, 999_997, 999_999
+        yield N, -0.9 * 3 / (N % 2 + 4), 0.9, -3, N % 2 + 4
+        yield N, 2.0 + 1e-8, -1.0, None, None  # no q <= 1e6 within 1e-9, and near PST, not FR
+
+
+@pytest.mark.parametrize("N, alpha, beta, p, q", list(refusal_cases()))
+def test_a_refusal_reads_its_scan_and_amplitudes_from_one_exact_pass(N, alpha, beta, p, q):
+    rep = revival.certify_numeric(N, alpha, beta, p, q)
+    assert rep.certificate.kind == revival.NONE
+    spec = walk.WalkSpec(N - 1, alpha, beta)
+    # repr tells every float apart bit for bit, signed zeros included
+    assert repr(rep.scan) == repr(oracle.full_grid_scan(spec, revival._scan_window(rep.certificate)))
+    if rep.certificate.q is None and beta != 0.0:
+        assert rep.tau_evaluated == rep.scan.tau_at_max_sum
+    else:
+        assert rep.tau_evaluated == revival._fr_time(alpha, beta, rep.certificate.q)
+    amp = walk.antipodal_amplitudes(spec, rep.tau_evaluated)
+    assert repr((rep.mu, rep.nu, rep.leakage)) == repr(tuple(amp))
+    # two sites revive at pi/(2|beta|) for every ratio (the documented exception)
+    assert rep.passed == (N > 2 or beta == 0.0)
