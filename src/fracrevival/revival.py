@@ -28,6 +28,12 @@ The float checks are cross-checks.  Where eps tau max|E| reaches a gate
 names the gate as one the float cannot resolve instead of failing on it;
 the exact check still decides.  Exit 2 then means that the certificate and
 the integers disagree, or that a float check missed a gate it resolves.
+
+On the smallest cubes (M <= ENGINE_CHECK_MAX_M, at most 8 amplitudes) the
+verdict also evolves the corner state once with the Walsh-Hadamard engine
+and gates checks["engine_dev"], the larger deviation of its corner and
+antipode entries from the closed form: an independent engine, cheap at
+that size.  Above that no 2^M state is built.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ PROB_TOL = 1e-9          # on probabilities at certified times
 SCAN_TOL = 1e-6          # revival detection threshold on the tau grid
 DEFAULT_SCAN_STEPS = 10 ** 4
 MAX_SCAN_STEPS = 10 ** 6  # the grid's phase matrix is (steps+1) x (M+1) complex values
+ENGINE_CHECK_MAX_M = 3    # verify also evolves the corner state with the FWHT up to here (8 amplitudes)
 
 
 @dataclass(frozen=True)
@@ -395,8 +402,10 @@ def certify_numeric(
     PST_only: probability one at the antipode at tau_PST.  none: a scan of
     DEFAULT_SCAN_STEPS points over one period must find no balanced revival;
     mu and nu, at tau_FR or else at the scan's best point, come from the
-    scan's exact pass.  The certificate and the spectrum (spec.energies) are
-    derived once, and no 2^M state is built.
+    scan's exact pass.  At M <= ENGINE_CHECK_MAX_M every kind also needs the
+    FWHT evolution to match the closed-form amplitudes within 1e-9
+    (checks["engine_dev"]); above that no 2^M state is built.  The
+    certificate and the spectrum (spec.energies) are derived once.
     """
     cert = check_conditions(N, alpha, beta, p=p, q=q)
     spec = walk.WalkSpec(M=N - 1, alpha=alpha, beta=beta)
@@ -431,6 +440,11 @@ def certify_numeric(
         outcome, tau, amp = _scan(spec, _scan_window(cert), DEFAULT_SCAN_STEPS, tau)
         checks = {"max_revival_sum": outcome.max_revival_sum}
         gates = [("max_revival_sum", not outcome.balanced_found, SCAN_TOL, outcome.tau_max)]
+
+    if spec.M <= ENGINE_CHECK_MAX_M:
+        psi = walk.evolve_graph(spec, walk.corner_state(spec.M), tau)
+        checks["engine_dev"] = float(max(abs(psi[0] - amp.mu), abs(psi[-1] - amp.nu)))
+        gates.append(("engine_dev", checks["engine_dev"] < PROB_TOL, PROB_TOL, tau))
 
     exact = _confirms(cert)
     unresolved = tuple(name for name, _, tolerance, time in gates if not walk.resolves(spec, time, tolerance))

@@ -1167,12 +1167,32 @@ def test_a_verdict_the_float_cannot_resolve_exits_zero(capsys, monkeypatch, guar
     report = certify(argv)
     assert report.exact is True and report.passed
     if argv[2] == "4":
-        assert report.unresolved == ("nu_abs",)  # tau_pst ~ 3.1e300: the float reads a leakage of 0.68
+        # tau_pst ~ 3.1e300: the float reads a leakage of 0.68, and M = 3 runs the FWHT check too
+        assert report.unresolved == ("nu_abs", "engine_dev")
     else:
         # the float winding misses its old 1e-10 gate: 7.1e-9 at N = 9, 6.9e-10 at N = 1000
         assert report.appendix.winding_max_dev > 1e-10
         assert report.appendix.winding_exact and report.appendix.step_phase_exact
         assert report.appendix.resolved == (argv[2] == "1000")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--N", "4", "--alpha", "2", "--beta", "2"],       # balanced FR, M = 3
+    ["verify", "--N", "4", "--alpha", "2", "--beta", "1"],       # PST only, M = 3
+    ["verify", "--N", "4", "--alpha", "1", "--beta", "2"],       # refusal, M = 3
+])
+def test_verify_fails_when_the_fwht_engine_disagrees(capsys, monkeypatch, argv):
+    # on the smallest cubes the verdict also rests on the FWHT evolution
+    real = walk.evolve_graph
+
+    def shifted(*args):
+        psi = real(*args)
+        psi[0] += 1e-6
+        return psi
+
+    assert run(capsys, argv)[0] == 0
+    monkeypatch.setattr(walk, "evolve_graph", shifted)
+    assert run(capsys, argv)[0] == 2
 
 
 def _shift_chain(monkeypatch, symmetric):
@@ -1236,8 +1256,8 @@ def test_the_appendix_identity_builds_no_dense_matrix(capsys, monkeypatch, comma
     ["verify", "--N", "9", "--alpha", "0.6", "--beta", "0.4"],   # balanced FR, M = 8 (p/q = 3/2)
     ["verify", "--N", "9", "--alpha", "0.6", "--beta", "1"],     # parity refusal, M = 8 (p/q = 3/5)
     ["verify", "--N", "8", "--alpha", "1.3", "--beta", "0"],     # refusal at beta = 0, M = 7
-    ["verify", "--N", "4", "--alpha", "2", "--beta", "2"],       # balanced FR, M = 3
-    ["verify", "--N", "4", "--alpha", "2", "--beta", "1"],       # PST only, M = 3
+    ["verify", "--N", "5", "--alpha", "1", "--beta", "2"],       # balanced FR, M = 4
+    ["verify", "--N", "5", "--alpha", "2", "--beta", "1"],       # PST only, M = 4
 ])
 def test_no_verify_cell_builds_a_state(capsys, monkeypatch, argv):
     unpatched = run(capsys, argv)

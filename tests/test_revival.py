@@ -438,7 +438,8 @@ def test_the_solver_confirms_the_certificate_at_every_scale(N, alpha, beta):
     rep = revival.certify_numeric(N, alpha, beta)
     assert rep.exact is True
     assert rep.unresolved == ()
-    assert "engine_dev" not in rep.checks
+    assert ("engine_dev" in rep.checks) == (N - 1 <= revival.ENGINE_CHECK_MAX_M)
+    assert rep.checks.get("engine_dev", 0.0) < 1e-12
     assert rep.passed
 
 
