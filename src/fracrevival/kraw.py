@@ -15,7 +15,7 @@ from operator import sub
 
 import numpy as np
 
-from .errors import check_elements
+from .errors import InvalidInputError, check_elements
 
 
 def graph_eigenvalues(spec) -> np.ndarray:
@@ -37,11 +37,14 @@ def column_weights(M: int, rows=None) -> np.ndarray:
     binomials C(M, s); (1 + z) P_{w+1} = (1 - z) P_w makes the coefficient of
     z^s in P_{w+1} a_s - a_{s-1} minus its own coefficient of z^(s-1); and
     K_s(M - w) = (-1)^s K_s(w).  So rows 0 and M cost O(M); the whole table is
-    refused above the size guard first.  oracle.krawtchouk is the reference.
+    refused above the size guard first, and a class outside [0, M] before any
+    table.  oracle.krawtchouk is the reference.
     """
     if rows is None:
         check_elements((M + 1) ** 2, "the Krawtchouk matrix")
         rows = range(M + 1)
+    elif not all(0 <= w <= M for w in rows):
+        raise InvalidInputError(f"weight classes must lie in [0, {M}], got {list(rows)}")
     table = [[comb(M, s) for s in range(M + 1)]]
     for _ in range(max(min(w, M - w) for w in rows)):
         differences = map(sub, table[-1], [0] + table[-1][:-1])  # a_s - a_{s-1}

@@ -43,19 +43,6 @@ class ColumnBasis:
         """k_n = C(N-1, n-1) vertices in column n, each exact integer rounded once to float."""
         return np.array([float(comb(self.M, n)) for n in range(self.N)])
 
-    def members(self, n: int) -> np.ndarray:
-        """Vertices of column n (bit-weight n-1), computed on demand."""
-        if not 1 <= n <= self.N:
-            raise InvalidInputError(f"column index must lie in [1, {self.N}], got {n}")
-        return np.nonzero(scheme.hamming_weights(self.M) == n - 1)[0]
-
-    def column_vector(self, n: int) -> np.ndarray:
-        """|col n> as a full amplitude vector."""
-        members = self.members(n)
-        psi = np.zeros(1 << self.M, dtype=complex)
-        psi[members] = 1.0 / np.sqrt(len(members))
-        return psi
-
 
 @dataclass(frozen=True)
 class ColumnState:
@@ -139,12 +126,6 @@ class QuotientTable:
     exact_closed_forms: bool
     shifted: ShiftedDiagonalReport  # the on-site check, from the same distance-2 counts
 
-    @property
-    def distance4_same_column(self) -> np.ndarray:
-        """Ordered vertex pairs inside each column at distance 4, counted when read."""
-        counts = _pair_counts(self.N - 1, 4)
-        return np.array([counts[a, a] for a in range(self.N)])
-
     def _closed_form_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Each float element array with its closed form: sqrt(n(N-n)), the A_2 band (both ways) and (n-1)(N-n)."""
         N = self.N
@@ -197,10 +178,9 @@ def quotient_matrix_elements(N: int) -> QuotientTable:
     _pair_counts and the sizes k_n as Python ints.  Closed forms asserted
     exactly on integers (squared where a square root is involved):
     <col n+1|A_1|col n>^2 = n(N-n), 4<col n+/-2|A_2|col n>^2 =
-    n(n+1)(N-n)(N-n-1), <col n|A_2|col n> = (n-1)(N-n).  Vertex pairs inside a column at distance 4 never contribute
-    to A_2; the table counts them only when distance4_same_column is read.
-    The same distance-2 counts give the exact rational check of the shifted
-    diagonal, table.shifted.
+    n(n+1)(N-n)(N-n-1), <col n|A_2|col n> = (n-1)(N-n).  The same
+    distance-2 counts give the exact rational check of the shifted diagonal,
+    table.shifted.
     """
     require_model(N)
     M = N - 1

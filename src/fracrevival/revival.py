@@ -4,10 +4,11 @@ Whether the walk (equivalently the chain) admits balanced fractional revival
 or perfect state transfer between antipodes is a parity question about the
 coupling ratio.  With beta != 0 write alpha/beta = p/q in lowest terms:
 balanced FR needs p odd and q, N of opposite parity, and first occurs at
-tau = pi q / (2 beta), with PST at twice that; p even (hence q odd) gives PST
-only, at tau = pi q / beta.  With beta = 0 revival needs N odd and occurs at
-tau = pi / (2 alpha).  Negative alpha or beta are folded into |.| for the
-times; the dynamics only reverses in time.
+tau = pi q / (2 beta) for N >= 3 (on two sites at pi / (2 beta) for every
+ratio: the README's N = 2 case), with PST at twice that; p even (hence q odd)
+gives PST only, at tau = pi q / beta.  With beta = 0 revival needs N odd and
+occurs at tau = pi / (2 alpha).  Negative alpha or beta are folded into |.|
+for the times; the dynamics only reverses in time.
 
 `check_conditions` applies the arithmetic, and `certify_numeric` confronts the
 resulting certificate with two checks.  The first is exact: `solve_revival`

@@ -4,10 +4,8 @@ The Hamiltonian is H = (alpha/2) A_2 + (beta/2) A_1 on {0,1}^M: hypercube
 edges carry weight beta/2 and face diagonals weight alpha/2.  Both operators
 are diagonalized by the +-1 character vectors of (Z_2)^M, so evolution is
 exact and analytic: Walsh-Hadamard transform, multiply by the per-weight
-eigenphases exp(-i tau E_s), transform back.  Cost O(M 2^M) with bit-exact
-deterministic output: the transform fuses its butterfly stages in pairs,
-ceil(M/2) passes over memory instead of M, in the radix-2 order, so the output
-bits do not depend on the fusion.
+eigenphases exp(-i tau E_s), transform back.  Cost O(M 2^M), one radix-2
+butterfly stage per bit, with deterministic output.
 
 The corner-started walk stays in the column space of the Hamming scheme:
 every vertex of weight w carries the same amplitude
@@ -85,12 +83,8 @@ def corner_state(M: int) -> np.ndarray:
 def fwht(psi: np.ndarray) -> np.ndarray:
     """Normalized Walsh-Hadamard transform (unitary, involutive).
 
-    Component z of the output is 2^(-M/2) * sum_x (-1)^(x.z) psi(x).  The
-    radix-2 butterfly stages h = 1, 2, 4, ... are fused in pairs (h, 2h) into
-    one radix-4 pass over memory, with a last radix-2 stage when M is odd.
-    A fused pass performs the same additions in the same order as the two
-    stages it replaces, so the output bits do not depend on the fusion and
-    the result is deterministic.
+    Component z of the output is 2^(-M/2) * sum_x (-1)^(x.z) psi(x), from the
+    radix-2 butterfly stages h = 1, 2, 4, ... in that order.
     """
     psi = np.asarray(psi)
     n = psi.shape[0] if psi.ndim == 1 else 0
@@ -98,22 +92,12 @@ def fwht(psi: np.ndarray) -> np.ndarray:
         raise InvalidInputError("input length must be a power of two")
     out = psi.astype(complex, copy=True)
     h = 1
-    while 4 * h <= n:
-        x = out.reshape(-1, 4, h)
-        t0 = x[:, 0] + x[:, 1]
-        t1 = x[:, 0] - x[:, 1]
-        t2 = x[:, 2] + x[:, 3]
-        t3 = x[:, 2] - x[:, 3]
-        np.add(t0, t2, out=x[:, 0])
-        np.subtract(t0, t2, out=x[:, 2])
-        np.add(t1, t3, out=x[:, 1])
-        np.subtract(t1, t3, out=x[:, 3])
-        h *= 4
-    if h < n:
-        x = out.reshape(2, h)
-        top = x[0] + x[1]
-        np.subtract(x[0], x[1], out=x[1])
-        x[0] = top
+    while h < n:
+        a, b = out.reshape(-1, 2, h).transpose(1, 0, 2)
+        top = a + b
+        np.subtract(a, b, out=b)
+        a[...] = top
+        h *= 2
     out *= 1.0 / np.sqrt(n)
     return out
 
@@ -171,7 +155,7 @@ def column_amplitudes(spec: WalkSpec, taus, rows=None) -> np.ndarray:
     weights = kraw.column_weights(spec.M, rows)
     flat = phases.reshape(-1, spec.M + 1)
     psi = np.empty((len(flat), len(weights)), dtype=complex)
-    block = -(-len(flat) // (2 * len(weights)))  # half the phases' room: two blocks live at a reassignment
+    block = max(1, -(-len(flat) // (2 * len(weights))))  # half the phases' room: two blocks live at a reassignment
     for lo in range(0, len(flat), block):
         terms = flat[lo:lo + block, None] * weights
         psi[lo:lo + block] = np.cumsum(terms, axis=-1, out=terms)[..., -1]

@@ -77,6 +77,18 @@ def test_column_weights_never_convert_a_big_integer_on_its_own():
     assert weights[0].sum() == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("M", [1, 3, 10])
+@pytest.mark.parametrize("shift", [-1, 1, 2], ids=["minus_one", "M_plus_one", "two_M_plus_one"])
+def test_column_weights_refuse_a_class_outside_zero_to_m(M, shift):
+    # unchecked, -1 and M + 1 would read the w = 0 and w = M rows through negative indices
+    bad = -1 if shift == -1 else shift * M + 1
+    with pytest.raises(InvalidInputError, match=rf"weight classes must lie in \[0, {M}\], got \[0, {bad}\]"):
+        kraw.column_weights(M, (0, bad))
+    spec = walk.WalkSpec(M=M, alpha=1.0, beta=1.0)
+    with pytest.raises(InvalidInputError, match="weight classes"):
+        walk.column_amplitudes(spec, 1.0, (bad,))
+
+
 def test_degree_out_of_range():
     with pytest.raises(InvalidInputError):
         oracle.krawtchouk(-1, 0, 4)

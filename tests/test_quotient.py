@@ -22,7 +22,12 @@ def test_project_corner_state():
 def test_project_column_vectors_are_orthonormal():
     basis = quotient.ColumnBasis(6)
     for n in range(1, 7):
-        state = quotient.project(basis, basis.column_vector(n))
+        column = oracle.lift(basis, np.eye(6)[n - 1])
+        # |col n> is uniform on the weight-(n-1) vertices and zero elsewhere
+        members = scheme.hamming_weights(5) == n - 1
+        np.testing.assert_array_equal(column[members], 1.0 / np.sqrt(comb(5, n - 1)))
+        assert not column[~members].any()
+        state = quotient.project(basis, column)
         expected = np.zeros(6)
         expected[n - 1] = 1.0
         np.testing.assert_allclose(state.coords, expected, atol=1e-14)
@@ -95,8 +100,9 @@ def test_quotient_elements_closed_forms(N):
 def test_distance4_pairs_exist_but_are_excluded():
     # interchanging two 0/1 pairs stays in the column at distance 4; A_2 must
     # not count those pairs, and the diagonal closed form proves it does not
+    counts = quotient._pair_counts(6, 4)
+    assert max(counts[a, a] for a in range(7)) > 0
     table = quotient.quotient_matrix_elements(7)
-    assert table.distance4_same_column.max() > 0
     assert table.exact_closed_forms
     nvals = np.arange(1, 8, dtype=float)
     np.testing.assert_allclose(table.a2_diag, (nvals - 1) * (7 - nvals), atol=1e-13)
@@ -140,9 +146,7 @@ def test_quotient_gate_is_relative_to_each_element(monkeypatch, N):
 @pytest.mark.parametrize("build", [
     lambda basis: oracle.lift(basis, np.eye(basis.N)[0]),
     lambda basis: quotient.project(basis, np.full(1 << basis.M, 2.0 ** (-basis.M / 2))),
-    lambda basis: basis.members(1),
-    lambda basis: basis.column_vector(1),
-], ids=["lift", "project", "members", "column_vector"])
+], ids=["lift", "project"])
 def test_column_tables_obey_the_size_guard(monkeypatch, build):
     monkeypatch.setenv("REVIVAL_MAX_M", "4")
     with pytest.raises(ResourceLimitError, match="set REVIVAL_MAX_M to override"):

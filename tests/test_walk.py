@@ -64,8 +64,8 @@ def radix2_fwht(psi):
 
 
 def test_fwht_bits_match_radix2_stage_order():
-    # fusing stages in pairs must keep every output bit, for odd and even M
-    # and for M = 1, where no fused pass runs
+    # every output bit is that of one butterfly stage per bit in the order
+    # h = 1, 2, 4, ...; a faster transform (fused stages, say) must keep them
     rng = np.random.default_rng(17)
     for M in range(13):
         real = rng.normal(size=1 << M)
@@ -249,6 +249,17 @@ def test_column_amplitudes_match_fwht_evolution(M, alpha, beta, tau):
     psi = walk.evolve_graph(spec, walk.corner_state(M), tau)
     gathered = walk.column_amplitudes(spec, tau)[scheme.hamming_weights(M)]
     assert np.abs(gathered - psi).max() < 1e-12
+
+
+@pytest.mark.parametrize("M", [1, 3, 8])
+def test_an_empty_array_of_times_gives_empty_amplitudes(M):
+    # errors.eigenphases accepts an empty array of times; so do the readouts
+    spec = walk.WalkSpec(M=M, alpha=1.3, beta=0.9)
+    mus, nus = walk.antipodal_scan(spec, np.array([]))
+    assert mus.shape == nus.shape == (0,) and mus.dtype == nus.dtype == complex
+    assert walk.column_amplitudes(spec, np.empty(0)).shape == (0, M + 1)
+    assert walk.column_amplitudes(spec, np.empty((0, 2))).shape == (0, 2, M + 1)
+    assert walk.column_amplitudes(spec, np.empty((0, 2)), (0, M)).shape == (0, 2, 2)
 
 
 def test_antipodal_scan_refuses_overflowing_phase():
