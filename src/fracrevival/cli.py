@@ -32,8 +32,9 @@ DEFAULT_SCAN_GRID = 2000
 # values: "%.17g" % x is format(x, ".17g"), so each row has the bytes
 # _render_json gives it.  A scan row is one template.  An amplitude row is
 # head % system, its index, and tail % (re, im, probability) formatted once
-# per value (see _amplitude_blocks).  The index is written from the two
-# tables below (see _index_pieces).
+# per value; it is written as the low three digits of its index, from the
+# two tables below, and a tail that carries the next row's head and
+# thousands part (see _amplitude_blocks).
 ROWS_PER_BLOCK = 4096
 _DIGITS = [str(i) for i in range(1000)]
 _PADDED = ["%03d" % i for i in range(1000)]
@@ -159,51 +160,53 @@ def _resolve_tau(args: argparse.Namespace) -> float:
     return tau
 
 
-def _index_pieces(a: int, b: int):
-    """The decimal text of each index in [a, b) as a high and a low part, str(i) == high + low.
-
-    Below 1000 the high part is empty and the low part _DIGITS[i]; above, the
-    high part is str(i // 1000) and the low part _PADDED[i % 1000].  Both come
-    as runs of at most 1000 indices that share one high part, so no Python
-    code runs per index.
-    """
-    highs, lows = [], []
-    start = a
-    while start < b:
-        thousands, low = divmod(start, 1000)
-        run = min(b - start, 1000 - low)
-        highs.append(itertools.repeat(str(thousands) if thousands else "", run))
-        lows.append((_PADDED if thousands else _DIGITS)[low:low + run])
-        start += run
-    return itertools.chain.from_iterable(highs), itertools.chain.from_iterable(lows)
-
-
 def _amplitude_blocks(tables, layout: tuple[str, str], sep: str = ""):
     """Amplitude rows of each (system, values, value index per row, first index) table, ROWS_PER_BLOCK a piece.
 
     Row r of a table is numbered first + r and holds values[rows[r]]; the
     pieces are joined by sep.  re, im and the probability are formatted once
-    per value, and a row is head, index and its value's tail: a graph report
-    has one value per weight class of the corner-started walk, M + 1 in all,
-    and a chain report one per site.  A block is one flat list of four texts
-    per row (sep and head, the index's high and low parts, the tail), filled
-    by slice assignment and joined once.  The probability is abs(c) ** 2 on
-    the Python complex, equal bit for bit to numpy's scalar abs(c) ** 2; the
-    vectorized np.abs(psi) ** 2 differs in the last bits.  Beyond the tables,
-    working memory is O(ROWS_PER_BLOCK).  The values must be finite: the
-    caller checks them before the first byte.
+    per value into its tail: a graph report has one value per weight class of
+    the corner-started walk, M + 1 in all, and a chain report one per site.
+    A row is written as two texts: the low digits of its index, from _DIGITS
+    below 1000 and _PADDED above, and a carried tail, its value's tail then
+    sep, head and the thousands part of the next row's index.  The last row
+    of a table carries nothing.  Within a run of indices that share a
+    thousands part, a row's carried tail depends on its value alone, so the
+    run builds one per value and gathers them by rows with a numpy object
+    index; the run's last row carries the next run's thousands part.  A
+    block is one flat list of these texts, filled by slice assignment and
+    headed by the text before its first low digits (lead and head at a
+    table's start, else empty), and is joined once.  The probability is abs(c) ** 2 on the Python complex, equal
+    bit for bit to numpy's scalar abs(c) ** 2; the vectorized np.abs(psi) ** 2
+    differs in the last bits.  Beyond the tables, working memory is
+    O(ROWS_PER_BLOCK).  The values must be finite: the caller checks them
+    before the first byte.
     """
     head_template, tail_template = layout
     lead = ""
     for system, values, rows, first in tables:
         head = head_template % system
         tails = [tail_template % (c.real, c.imag, abs(c) ** 2) for c in values.tolist()]
+        stop = first + len(rows)
         for lo in range(0, len(rows), ROWS_PER_BLOCK):
-            block = rows[lo:lo + ROWS_PER_BLOCK].tolist()
-            pieces = [sep + head] * (4 * len(block))
-            pieces[0] = lead + head
-            pieces[1::4], pieces[2::4] = _index_pieces(first + lo, first + lo + len(block))
-            pieces[3::4] = map(tails.__getitem__, block)
+            block = rows[lo:lo + ROWS_PER_BLOCK]
+            pieces = [""] * (2 * len(block) + 1)
+            at = 0
+            while at < len(block):
+                thousands, low = divmod(first + lo + at, 1000)
+                high = str(thousands) if thousands else ""
+                if lo == at == 0:
+                    pieces[0] = lead + head + high
+                run = min(len(block) - at, 1000 - low)
+                carried = np.array([tail + sep + head + high for tail in tails], dtype=object)
+                pieces[2 * at + 1:2 * (at + run):2] = (_PADDED if thousands else _DIGITS)[low:low + run]
+                pieces[2 * at + 2:2 * (at + run) + 1:2] = carried[block[at:at + run]].tolist()
+                at += run
+                following = first + lo + at  # the index after the run's last row
+                if following == stop:
+                    pieces[2 * at] = tails[block[at - 1]]
+                elif following % 1000 == 0:
+                    pieces[2 * at] = tails[block[at - 1]] + sep + head + str(following // 1000)
             yield "".join(pieces)
             lead = sep
 

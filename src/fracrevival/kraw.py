@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
+from numbers import Integral
 from operator import sub
 
 import numpy as np
@@ -37,18 +38,21 @@ def column_weights(M: int, rows=None) -> np.ndarray:
     binomials C(M, s); (1 + z) P_{w+1} = (1 - z) P_w makes the coefficient of
     z^s in P_{w+1} a_s - a_{s-1} minus its own coefficient of z^(s-1); and
     K_s(M - w) = (-1)^s K_s(w).  So rows 0 and M cost O(M); the whole table is
-    refused above the size guard first, and a class outside [0, M] before any
-    table.  oracle.krawtchouk is the reference.
+    refused above the size guard first, and a class that is not an integer in
+    [0, M] before any table.  No classes give a (0, M + 1) table.
+    oracle.krawtchouk is the reference.
     """
     if rows is None:
         check_elements((M + 1) ** 2, "the Krawtchouk matrix")
         rows = range(M + 1)
+    elif not all(isinstance(w, Integral) for w in rows):
+        raise InvalidInputError(f"weight classes must be integers, got {list(rows)}")
     elif not all(0 <= w <= M for w in rows):
         raise InvalidInputError(f"weight classes must lie in [0, {M}], got {list(rows)}")
     table = [[comb(M, s) for s in range(M + 1)]]
-    for _ in range(max(min(w, M - w) for w in rows)):
+    for _ in range(max((min(w, M - w) for w in rows), default=0)):
         differences = map(sub, table[-1], [0] + table[-1][:-1])  # a_s - a_{s-1}
         table.append(list(accumulate(differences, lambda below, d: d - below)))
     scale = 2 ** M  # a class above M/2 takes its mirror's integers with the signs (-1)^s
     return np.array([[(-k if s % 2 else k) / scale for s, k in enumerate(table[M - w])] if 2 * w > M
-                     else [k / scale for k in table[w]] for w in rows])
+                     else [k / scale for k in table[w]] for w in rows]).reshape(len(rows), M + 1)

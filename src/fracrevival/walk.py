@@ -155,7 +155,7 @@ def column_amplitudes(spec: WalkSpec, taus, rows=None) -> np.ndarray:
     weights = kraw.column_weights(spec.M, rows)
     flat = phases.reshape(-1, spec.M + 1)
     psi = np.empty((len(flat), len(weights)), dtype=complex)
-    block = max(1, -(-len(flat) // (2 * len(weights))))  # half the phases' room: two blocks live at a reassignment
+    block = max(1, -(-len(flat) // max(1, 2 * len(weights))))  # half the phases' room: two blocks live at a reassignment
     for lo in range(0, len(flat), block):
         terms = flat[lo:lo + block, None] * weights
         psi[lo:lo + block] = np.cumsum(terms, axis=-1, out=terms)[..., -1]

@@ -12,6 +12,7 @@ import tracemalloc
 import warnings
 from math import pi
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -888,21 +889,58 @@ def test_evolve_bytes_match_reference_past_five_digit_indices(capsys, as_json):
     assert run(capsys, argv) == (0, reference_evolve(18, 0.83, -1.21, 1.7, "both", as_json), "")
 
 
-def around(edge):
-    # [a, b) holds both edge - 1 and edge
-    return st.tuples(st.integers(max(edge - 2500, 0), edge - 1), st.integers(edge + 1, edge + 2500))
+# N = 1000..1002 numbers chain sites up to 1002, past the thousands boundary
+@pytest.mark.parametrize("N", [1000, 1001, 1002])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_evolve_chain_bytes_match_reference_past_site_one_thousand(capsys, N, as_json):
+    argv = ["evolve", "--N", str(N), "--alpha", "0.83", "--beta", "-1.21", "--tau", "1.7",
+            "--target", "chain"] + (["--json"] if as_json else [])
+    assert run(capsys, argv) == (0, reference_evolve(N, 0.83, -1.21, 1.7, "chain", as_json), "")
 
 
-@settings(max_examples=100, deadline=None)
-@given(bounds=st.one_of(
-    st.integers(0, 2 * 10 ** 6).flatmap(lambda a: st.tuples(st.just(a), st.integers(a, min(a + 5000, 2 * 10 ** 6)))),
-    *[around(edge) for edge in (1000, 10 ** 4, 10 ** 5, 10 ** 6)],
-))
-@example(bounds=(0, 2 * 10 ** 6))
-def test_index_pieces_spell_every_index(bounds):
-    a, b = bounds
-    highs, lows = cli._index_pieces(a, b)
-    assert list(map(str.__add__, highs, lows)) == [str(i) for i in range(a, b)]
+def reference_rows(tables, layout, sep):
+    """The amplitude rows one at a time: head % system, str(index), tail % (re, im, probability)."""
+    head, tail = layout
+    return sep.join(head % system + str(first + r) + tail % (c.real, c.imag, abs(c) ** 2)
+                    for system, values, rows, first in tables for r, c in enumerate(values[rows].tolist()))
+
+
+@st.composite
+def amplitude_tables(draw):
+    """One or two tables (graph rows over a few values, chain rows one value each) and a block size."""
+    tables = []
+    for system in draw(st.sampled_from([["graph"], ["chain"], ["graph", "chain"]])):
+        # first + rows - 1 lands on either side of 999/1000, 9999/10000 and 99999/100000
+        edge = st.sampled_from([1000, 10 ** 4] + [10 ** 5] * (system == "graph"))
+        n = draw(st.one_of(st.integers(1, 2500), edge.flatmap(lambda e: st.integers(e - 2, e + 1))))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        count = draw(st.integers(1, 20)) if system == "graph" else n
+        values = rng.normal(size=count) + 1j * rng.normal(size=count)
+        rows = rng.integers(0, count, n).astype(np.uint8) if system == "graph" else np.arange(n)
+        # the commands number from 0 and 1; 999 and 1000 start a table at a run's edge
+        tables.append((system, values, rows, draw(st.sampled_from([0, 1, 999, 1000]))))
+    # one-row blocks and runs cut by a block edge, kept to short tables
+    sizes = [999, 1000, 1001, cli.ROWS_PER_BLOCK]
+    if sum(len(rows) for _, _, rows, _ in tables) <= 5000:
+        sizes += [1, 2, 3]
+    return tables, draw(st.sampled_from(sizes))
+
+
+# a graph table through index 100000 and a chain table through site 1000, each ending on a one-row run
+EDGE_TABLES = [("graph", np.array([0.5 - 0.25j, -0.0 + 1j, 1e-300]), np.arange(100001, dtype=np.uint8) % 3, 0),
+               ("chain", np.linspace(-1, 1, 1000) * (1 + 2j), np.arange(1000), 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=amplitude_tables(), layout=st.sampled_from([(cli.AMPLITUDE_CSV, ""), (cli.AMPLITUDE_JSON, ",\n")]))
+@example(drawn=(EDGE_TABLES, cli.ROWS_PER_BLOCK), layout=(cli.AMPLITUDE_CSV, ""))
+@example(drawn=(EDGE_TABLES, cli.ROWS_PER_BLOCK), layout=(cli.AMPLITUDE_JSON, ",\n"))
+def test_amplitude_blocks_match_the_rows_written_one_at_a_time(drawn, layout):
+    tables, block = drawn
+    with mock.patch.object(cli, "ROWS_PER_BLOCK", block):
+        pieces = list(cli._amplitude_blocks(tables, *layout))
+    assert "".join(pieces) == reference_rows(tables, *layout)
+    assert len(pieces) == sum(-(-len(rows) // block) for _, _, rows, _ in tables)
 
 
 def run_quietly(argv):

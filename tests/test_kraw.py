@@ -89,6 +89,27 @@ def test_column_weights_refuse_a_class_outside_zero_to_m(M, shift):
         walk.column_amplitudes(spec, 1.0, (bad,))
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", None])
+def test_column_weights_refuse_a_class_that_is_not_an_integer(bad):
+    # unchecked, 1.5 failed as a list index with a bare TypeError
+    with pytest.raises(InvalidInputError, match=r"weight classes must be integers, got \[0, "):
+        kraw.column_weights(3, (0, bad))
+    spec = walk.WalkSpec(M=3, alpha=1.0, beta=1.0)
+    with pytest.raises(InvalidInputError, match="weight classes must be integers"):
+        walk.column_amplitudes(spec, 1.0, (bad,))
+
+
+@pytest.mark.parametrize("M", [1, 6])
+def test_column_weights_of_no_classes_are_an_empty_table(M):
+    # max() over no classes raised ValueError before
+    assert kraw.column_weights(M, ()).shape == (0, M + 1)
+    assert kraw.column_weights(M, np.array([], dtype=np.uint8)).shape == (0, M + 1)
+    spec = walk.WalkSpec(M=M, alpha=1.0, beta=1.0)
+    assert walk.column_amplitudes(spec, 1.0, ()).shape == (0,)
+    assert walk.column_amplitudes(spec, [0.5, 1.0, 2.0], ()).shape == (3, 0)
+    assert kraw.column_weights(M, (np.uint8(M),)).tobytes() == kraw.column_weights(M, (M,)).tobytes()
+
+
 def test_degree_out_of_range():
     with pytest.raises(InvalidInputError):
         oracle.krawtchouk(-1, 0, 4)
