@@ -12,12 +12,11 @@ import argparse
 import errno
 import functools
 import itertools
-import json
 import math
 import os
 import re
 import sys
-from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -61,7 +60,7 @@ def _render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)  # what json.dumps(obj) returns, without building an encoder
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
@@ -71,7 +70,7 @@ def _render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        rows = [f'{pad}  {json.dumps(str(k))}: {_render_json(v, indent + 1)}' for k, v in obj.items()]
+        rows = [f'{pad}  {encode_basestring_ascii(str(k))}: {_render_json(v, indent + 1)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = list(obj)
@@ -131,6 +130,7 @@ def _fields(report, names: str) -> dict:
 
 PARAMS_FIELDS = "N alpha beta p q"
 CERTIFICATE_FIELDS = "kind tau_fr tau_pst reason"
+SCAN_FIELDS = "tau_max steps balanced_found balanced_tau max_revival_sum tau_at_max_sum"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -143,7 +143,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "numeric": _fields(report, "mu nu leakage"),
         "appendix": (_fields(report.appendix, "delta phi_prime sign max_identity_dev")
                      if report.appendix is not None else None),
-        "scan": asdict(report.scan) if report.scan is not None else None,
+        "scan": _fields(report.scan, SCAN_FIELDS) if report.scan is not None else None,
     }
     _write([_render_json(payload) + "\n"], args)
     return 0 if report.passed else 2
@@ -242,7 +242,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             "quotient_max_deviation": quotient_dev,
             "leakage": leakage,
         }
-        head, tail = (_render_json(payload) + "\n").split(json.dumps(_TABLE))
+        head, tail = (_render_json(payload) + "\n").split(_render_json(_TABLE))
         pieces = [head + "[\n"], _amplitude_blocks(tables, AMPLITUDE_JSON, ",\n"), ["\n  ]" + tail]
     else:
         tail = ""
@@ -365,7 +365,10 @@ def _tau_arg(raw: str):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parse_args keeps no state in it."""
+    """The argument parser, built once per process; parse_args keeps no state in it.
+
+    Its commands attribute maps each command name to that command's own parser.
+    """
     parser = argparse.ArgumentParser(
         prog="fracrevival",
         description="Balanced fractional revival on the hypercube with face diagonals.",
@@ -407,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_app = sub.add_parser("appendix", help="balanced-FR matrix identity, phase by phase")
     add_common(p_app)
+    parser.commands = sub.choices
     return parser
 
 
@@ -420,9 +424,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # One parse: the top-level parser would hand everything after the command to the
+        # command's own parser, so call that parser directly; its help and errors are the
+        # same bytes either way.  Left-over arguments, and an argv that names no command,
+        # go to the top-level parser, which alone prints their usage line and error.
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is not None:
+            args, extra = command.parse_known_args(argv[1:])
+            args.command = argv[0]
+        if command is None or extra:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:

@@ -24,7 +24,7 @@ x xor y alone (H is a Cayley graph on Z_2^M), so the entrywise check reads
 the M + 1 weight classes of column 0 from the site-1 chain, the walk's
 distance quotient, diagonalized from its couplings.
 
-The float checks are cross-checks.  Where eps tau max|E| reaches a gate
+The float checks are cross-checks.  Where 3 eps |tau| max|E| reaches a gate
 (walk.resolves), rounding alone can move a value that far, so the report
 names the gate as one the float cannot resolve instead of failing on it;
 the exact check still decides.  Exit 2 then means that the certificate and
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import copysign, gcd, inf, isfinite, isnan, isqrt, pi
 
 import numpy as np
@@ -463,7 +464,12 @@ class AppendixReport:
     """Spectral verification of the balanced-revival matrix identity.
 
     certificate is the balanced-FR check_conditions verdict whose tau_fr the
-    identity was checked at; reports read p, q and the times from it.
+    identity was checked at; reports read p, q and the times from it.  The
+    float deviations no gate reads, winding_max_dev, step_phase_max_dev and
+    phi_consistency_dev, are computed on first read (cached_property, as
+    WalkSpec.energies is) from the fields: a verdict never pays their exp,
+    and the appendix command prints them.  They hold no field, so two reports
+    of one input compare and hash equal whichever were read.
     """
 
     N: int
@@ -473,11 +479,9 @@ class AppendixReport:
     delta: float
     phi_prime: float
     sign: int                       # the fixed +-1 in (A_0 +- i A_M)/sqrt(2)
-    winding_max_dev: float          # max |e^{-i M_s} - 1|
-    step_phase_max_dev: float       # max |e^{-i 4 tau alpha s} - 1|
+    factor: complex                 # e^{-i phi'}, fixed by e^{-i tau E_0}
     delta_dev: float                # distance of e^{i delta} from {+-(1+-i)/sqrt(2)}
     assembled_max_dev: float        # eigenvalue-level identity deviation
-    phi_consistency_dev: float      # |e^{-i phi'} -+ e^{-i phi}|, smaller branch
     dense_identity_dev: float | None  # entrywise over the whole matrix, from the chain, M <= 8 only
     certificate: RevivalCertificate
     winding_exact: bool             # every M_s a multiple of 2 pi, in integers
@@ -496,6 +500,24 @@ class AppendixReport:
     def max_identity_dev(self) -> float:
         """The entrywise dense deviation where it was computed, else the eigenvalue-level one."""
         return self.dense_identity_dev if self.dense_identity_dev is not None else self.assembled_max_dev
+
+    @cached_property
+    def winding_max_dev(self) -> float:
+        """max |e^{-i M_s} - 1|."""
+        winding = _phases(self.N, self.alpha, self.beta, self.tau)[0]
+        return float(np.abs(np.exp(-1j * winding) - 1.0).max())
+
+    @cached_property
+    def step_phase_max_dev(self) -> float:
+        """max |e^{-i 4 tau alpha s} - 1|."""
+        s = np.arange(self.N, dtype=float)
+        return float(np.abs(np.exp(-1j * 4 * (self.tau * self.alpha) * s) - 1.0).max())
+
+    @cached_property
+    def phi_consistency_dev(self) -> float:
+        """|e^{-i phi'} -+ e^{-i phi}|, the smaller branch."""
+        rotation = np.exp(-1j * _phases(self.N, self.alpha, self.beta, self.tau)[2])
+        return float(min(abs(self.factor - rotation), abs(self.factor + rotation)))
 
 
 def appendix_phase_check(
@@ -530,34 +552,21 @@ def _appendix_identity(cert: RevivalCertificate, spec: walk.WalkSpec) -> Appendi
     M = spec.M
     # phase_table refuses a non-finite tau, spectrum or phase before any exp below
     u = walk.phase_table(spec, tau)
-    s = np.arange(M + 1, dtype=float)
-
-    # tau * alpha first: 4 * tau can overflow where the product with alpha does not
-    with np.errstate(over="ignore", invalid="ignore"):
-        winding = 4 * (tau * alpha) * s ** 2 - 2 * (tau * alpha) * (N - 1) * s - 2 * (tau * beta) * s
-    delta = (tau / 2.0) * (alpha - alpha * (N - 1) - beta)
-    phi = tau * (alpha / 4.0 * (N - 1) * (N - 2) + beta / 2.0 * (N - 1)) + delta
+    winding, delta, phi = _phases(N, alpha, beta, tau)
     # these can overflow where tau * E does not (delta and phi form alpha * (N - 1) before tau)
     if not (np.isfinite(winding).all() and isfinite(delta) and isfinite(phi)):
         raise InvalidInputError("the winding, delta or phi phase overflows a float")
-    winding_dev = float(np.abs(np.exp(-1j * winding) - 1.0).max())
-    step_dev = float(np.abs(np.exp(-1j * 4 * (tau * alpha) * s) - 1.0).max())
 
     eighth_roots = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
     delta_dev = float(np.abs(np.exp(1j * delta) - eighth_roots).min())
 
+    # both signs eps = +-1 at once, a row each; argmin keeps the first of a tie, eps = +1
     parity = (-1.0) ** np.arange(M + 1)
-    best = None
-    for eps in (1, -1):
-        factor = u[0] * np.sqrt(2.0) / (1 + 1j * eps)
-        dev = float(np.abs(u - factor * (1 + 1j * eps * parity) / np.sqrt(2.0)).max())
-        if best is None or dev < best[0]:
-            best = (dev, eps, factor)
-    assembled_dev, sign, factor = best
-    phi_prime = float(-np.angle(factor))
-    phi_consistency = float(
-        min(abs(factor - np.exp(-1j * phi)), abs(factor + np.exp(-1j * phi)))
-    )
+    signs = np.array([1, -1])
+    factors = u[0] * np.sqrt(2.0) / (1 + 1j * signs)
+    devs = np.abs(u - factors[:, None] * (1 + 1j * signs[:, None] * parity) / np.sqrt(2.0)).max(axis=1)
+    best = int(np.argmin(devs))
+    sign, factor = int(signs[best]), complex(factors[best])
 
     dense_dev = _chain_identity_dev(spec, tau, factor, sign) if M <= 8 else None
 
@@ -565,14 +574,24 @@ def _appendix_identity(cert: RevivalCertificate, spec: walk.WalkSpec) -> Appendi
     # and 4 tau alpha s is 2 pi (4p s)/4, up to that sign
     p, q = _integers(cert)
     return AppendixReport(
-        N=N, alpha=alpha, beta=beta, tau=tau, delta=delta, phi_prime=phi_prime,
-        sign=sign, winding_max_dev=winding_dev, step_phase_max_dev=step_dev,
-        delta_dev=delta_dev, assembled_max_dev=assembled_dev,
-        phi_consistency_dev=phi_consistency, dense_identity_dev=dense_dev, certificate=cert,
+        N=N, alpha=alpha, beta=beta, tau=tau, delta=delta, phi_prime=float(-np.angle(factor)),
+        sign=sign, factor=factor, delta_dev=delta_dev, assembled_max_dev=float(devs[best]),
+        dense_identity_dev=dense_dev, certificate=cert,
         winding_exact=_quarters_whole([4 * p * k * k - 2 * (p * M + q) * k for k in range(N)]),
         step_phase_exact=_quarters_whole([4 * p * k for k in range(N)]),
         resolved=walk.resolves(spec, tau, 1e-10),
     )
+
+
+def _phases(N: int, alpha: float, beta: float, tau: float):
+    """The appendix's phases at tau: the winding terms M_s for s = 0..N-1 (an array), delta and phi."""
+    s = np.arange(N, dtype=float)
+    # tau * alpha first: 4 * tau can overflow where the product with alpha does not
+    with np.errstate(over="ignore", invalid="ignore"):
+        winding = 4 * (tau * alpha) * s ** 2 - 2 * (tau * alpha) * (N - 1) * s - 2 * (tau * beta) * s
+    delta = (tau / 2.0) * (alpha - alpha * (N - 1) - beta)
+    phi = tau * (alpha / 4.0 * (N - 1) * (N - 2) + beta / 2.0 * (N - 1)) + delta
+    return winding, delta, phi
 
 
 def _quarters_whole(coefficients: list[int]) -> bool:

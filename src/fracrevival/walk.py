@@ -111,13 +111,25 @@ def phase_table(spec: WalkSpec, tau) -> np.ndarray:
 
 
 def resolves(spec: WalkSpec, tau: float, tolerance: float) -> bool:
-    """Whether a float gate of this tolerance at time tau lies above eps |tau| max|E|.
+    """Whether a float gate of this tolerance at time tau lies above 3 eps |tau| max|E|, the most rounding can move it.
 
-    That product is how far rounding alone moves a phase tau E_s.  A gate at
-    or below it cannot tell a deviation from rounding, so a report that
-    cannot resolve it says so instead of failing on it.
+    A gate weighs computed phases tau E_s against one another: the appendix
+    identity sets each against that of s = 0, and an amplitude sums them.
+    With eps = 2^-52 and R = max|E|, each phase carries two roundings:
+    (a) of E_s = a + b, its alpha term a and beta term b.
+        kraw.graph_eigenvalues rounds a, b and their sum once each, so E_s is
+        off by at most (eps/2)(|a| + |b| + |E_s|).  |a| + |b| is largest at
+        s = 0 and M, which share a while b changes sign, so it is the larger
+        of |E_0| and |E_M|, at most R; E_s is within eps R, and the phase
+        within eps |tau| R;
+    (b) of the product tau E_s: eps/2 |tau| R.
+    Two phases so move apart by up to 2 (eps + eps/2) |tau| R.  A gate at or
+    below that cannot tell a deviation from rounding, so a report that
+    cannot resolve it says so instead of failing on it.  tau is taken as
+    the gate's exact time; the rounding of exp and of the gate's own
+    arithmetic, a few eps with no factor tau, lies far below every gate.
     """
-    return EPS * abs(tau) * spec.reach < tolerance
+    return 3 * EPS * abs(tau) * spec.reach < tolerance
 
 
 def evolve_graph(spec: WalkSpec, psi0: np.ndarray, tau: float) -> np.ndarray:

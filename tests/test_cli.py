@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, schemas, determinism."""
 
+import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -784,6 +786,62 @@ def test_usage_error_maps_to_exit_one(capsys):
     capsys.readouterr()
 
 
+# main hands the argv after a command to that command's parser, once; the top-level parser must give the same bytes
+DISPATCH_ARGVS = [
+    [], ["bogus"], ["-h"], ["--help"], ["verify", "-h"],
+    ["verify"],                                                     # no --N
+    ["verify", "--N", "3", "--bogus"],
+    ["evolve", "--N", "3", "--alpha", "1", "--tau", "1", "junk"],
+    ["verify", "--N", "3", "--alpha", "1", "--", "x"],
+    ["verify", "--N", "3", "--alp", "1"],                           # an abbreviation
+    ["verify", "--N=9", "--alpha", "1"],
+    ["verify", "--N", "5", "--N", "3", "--alpha", "1"],             # the last --N counts
+    ["verify", "--N", "3", "--alpha", "-1e-5", "--beta", "2"],      # a negative exponent is a value
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=lambda argv: " ".join(argv) or "no-argument")
+def test_one_parse_gives_what_the_top_level_parser_gives(capsys, monkeypatch, argv):
+    parsed = []
+    real = cli._require_ratio
+
+    def recorded(args):
+        parsed.append(vars(args).copy())
+        real(args)
+
+    monkeypatch.setattr(cli, "_require_ratio", recorded)
+    direct = run(capsys, argv)
+    # with no command parser to call, main parses every argv with build_parser().parse_args
+    monkeypatch.setattr(cli.build_parser(), "commands", {})
+    assert run(capsys, argv) == direct
+    assert parsed[:1] == parsed[1:]
+
+
+def test_a_command_line_is_parsed_once(capsys, monkeypatch):
+    parsers = []
+    real = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parsers.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run(capsys, ["verify", "--N", "3", "--alpha", "1", "--beta", "1"])[0] == 0
+    assert parsers == ["fracrevival verify"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text())
+@example('"\\ \x00\x1f\x7f \u2028 \u00e9 \U0001f600')
+def test_strings_and_keys_are_quoted_as_json_dumps_quotes_them(text):
+    assert cli._render_json(text) == json.dumps(text)
+    assert cli._render_json({text: text}) == json.dumps({text: text}, indent=2)
+
+
+def test_the_scan_block_lists_every_scan_field_in_order():
+    assert cli.SCAN_FIELDS.split() == [field.name for field in dataclasses.fields(revival.ScanOutcome)]
+
+
 def test_float_serialization_is_17_digits(capsys):
     _, out, _ = run(capsys, ["verify", "--N", "4", "--alpha", "2", "--beta", "2"])
     assert '"tau_fr": 0.78539816339744828' in out
@@ -1208,10 +1266,54 @@ def test_a_verdict_the_float_cannot_resolve_exits_zero(capsys, monkeypatch, guar
         # tau_pst ~ 3.1e300: the float reads a leakage of 0.68, and M = 3 runs the FWHT check too
         assert report.unresolved == ("nu_abs", "engine_dev")
     else:
-        # the float winding misses its old 1e-10 gate: 7.1e-9 at N = 9, 6.9e-10 at N = 1000
+        # the float winding misses its old 1e-10 gate: 7.1e-9 at N = 9, 6.9e-10 at N = 1000; neither
+        # resolves the identity's gate (3 eps tau max|E| is 2.6e-10 at N = 1000; see the N = 500 test below)
         assert report.appendix.winding_max_dev > 1e-10
         assert report.appendix.winding_exact and report.appendix.step_phase_exact
-        assert report.appendix.resolved == (argv[2] == "1000")
+        assert not report.appendix.resolved
+
+
+@pytest.mark.parametrize("command", ["verify", "appendix"])
+def test_a_resolved_identity_passes_with_its_float_winding_past_the_gate(capsys, monkeypatch, command):
+    # the winding is decided in integers: its float deviation, 2.4e-10 here, gates nothing
+    monkeypatch.setenv("REVIVAL_MAX_M", "499")
+    argv = [command, "--N", "500", "--alpha", "1", "--beta", "1"]
+    assert run(capsys, argv)[0] == 0
+    appendix = certify(argv).appendix
+    assert appendix.resolved and appendix.winding_exact and appendix.passed
+    assert appendix.winding_max_dev > 1e-10
+
+
+# balanced FR that the integers confirm, each exited 2 on its assembled identity alone
+SMALL_ALPHA_FR = [
+    ["--N", "3", "--alpha", "1e-5", "--beta", "2"],
+    ["--N", "3", "--alpha", "-1e-5", "--beta", "2"],
+    ["--N", "3", "--alpha", "1e-5", "--beta", "-2"],
+    ["--N", "3", "--alpha", "-1e-5", "--beta", "-2"],
+    ["--N", "11", "--alpha", "1e-5", "--beta", "0.5"],
+    ["--N", "11", "--alpha", "-1e-5", "--beta", "0.5"],
+    ["--N", "11", "--alpha", "2e-5", "--beta", "1"],
+]
+
+
+@pytest.mark.parametrize("command", ["verify", "appendix"])
+@pytest.mark.parametrize("params", SMALL_ALPHA_FR, ids=" ".join)
+def test_a_small_alpha_revival_within_rounding_of_its_gate_exits_zero(capsys, command, params):
+    code, out, err = run(capsys, [command] + params)
+    assert (code, err) == (0, "")
+    report = certify([command] + params)
+    appendix = report.appendix
+    assert report.exact is True and appendix.winding_exact and appendix.step_phase_exact
+    # 1.1-1.3e-10, above the gate but within what rounding moves two phases apart (walk.resolves)
+    spec = walk.WalkSpec(int(params[1]) - 1, float(params[3]), float(params[5]))
+    assert 1e-10 < appendix.assembled_max_dev <= 3 * walk.EPS * appendix.tau * spec.reach
+    assert not appendix.resolved and report.passed
+
+
+@pytest.mark.parametrize("command", ["verify", "appendix"])
+def test_an_overflowing_appendix_phase_is_still_refused_in_one_line(capsys, command):
+    code, out, err = run(capsys, [command, "--N", "3", "--alpha", "1e308", "--beta", "0"])
+    assert (code, out, err) == (1, "", "error: the winding, delta or phi phase overflows a float\n")
 
 
 @pytest.mark.parametrize("argv", [

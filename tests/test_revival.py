@@ -249,6 +249,78 @@ def test_certify_carries_the_appendix_of_its_certificate(N, alpha, beta):
     assert revival.certify_numeric(N, alpha, beta).appendix == revival.appendix_phase_check(N, alpha, beta)
 
 
+coprime_ratios = st.tuples(st.integers(-30, 30), st.integers(1, 30)).filter(lambda r: gcd(*r) == 1)
+
+
+LAZY_DEVIATIONS = ("winding_max_dev", "step_phase_max_dev", "phi_consistency_dev")
+
+
+def eager_appendix(report):
+    """sign, factor, assembled_max_dev and the three lazy deviations, as the report's inputs gave them eagerly, one sign at a time."""
+    N, alpha, beta, tau = report.N, report.alpha, report.beta, report.tau
+    M = N - 1
+    u = walk.phase_table(walk.WalkSpec(M, alpha, beta), tau)
+    s = np.arange(M + 1, dtype=float)
+    winding = 4 * (tau * alpha) * s ** 2 - 2 * (tau * alpha) * (N - 1) * s - 2 * (tau * beta) * s
+    delta = (tau / 2.0) * (alpha - alpha * (N - 1) - beta)
+    phi = tau * (alpha / 4.0 * (N - 1) * (N - 2) + beta / 2.0 * (N - 1)) + delta
+    parity = (-1.0) ** np.arange(M + 1)
+    best = None
+    for eps in (1, -1):
+        factor = u[0] * np.sqrt(2.0) / (1 + 1j * eps)
+        dev = float(np.abs(u - factor * (1 + 1j * eps * parity) / np.sqrt(2.0)).max())
+        if best is None or dev < best[0]:
+            best = (dev, eps, factor)
+    dev, sign, factor = best
+    return {
+        "sign": sign, "factor": factor, "assembled_max_dev": dev,
+        "winding_max_dev": float(np.abs(np.exp(-1j * winding) - 1.0).max()),
+        "step_phase_max_dev": float(np.abs(np.exp(-1j * 4 * (tau * alpha) * s) - 1.0).max()),
+        "phi_consistency_dev": float(min(abs(factor - np.exp(-1j * phi)), abs(factor + np.exp(-1j * phi)))),
+    }
+
+
+def bits(value):
+    """A value with floats, and the parts of complex values, as their exact hex."""
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    return value.hex() if isinstance(value, float) else value
+
+
+def test_a_verdict_computes_no_appendix_deviation_it_does_not_print():
+    appendix = revival.certify_numeric(6, 1.0, 1.0).appendix
+    assert not set(LAZY_DEVIATIONS) & appendix.__dict__.keys()
+    assert appendix.passed and appendix.max_identity_dev < 1e-10
+    assert not set(LAZY_DEVIATIONS) & appendix.__dict__.keys()
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.integers(2, 40), ratio=st.one_of(st.just((1, 0)), coprime_ratios),
+       beta=st.floats(0.05, 20.0), negative=st.booleans())
+@example(N=3, ratio=(1, 200000), beta=2.0, negative=False)
+@example(N=11, ratio=(1, 50000), beta=0.5, negative=True)
+def test_appendix_deviations_read_lazily_equal_the_eager_ones_bit_for_bit(N, ratio, beta, negative):
+    p, q = ratio
+    beta = -beta if negative else beta
+    alpha, beta = (beta, 0.0) if q == 0 else (beta * p / q, beta)
+    assume(revival.check_conditions(N, alpha, beta).kind == revival.BALANCED_FR)
+    report = revival.appendix_phase_check(N, alpha, beta)
+    eager = eager_appendix(report)
+    assert {name: bits(getattr(report, name)) for name in eager} == {name: bits(value) for name, value in eager.items()}
+    assert report.phi_prime == float(-np.angle(eager["factor"]))
+
+
+def test_appendix_reports_of_one_input_compare_and_hash_equal():
+    read = revival.appendix_phase_check(6, 1.0, 1.0)
+    unread = revival.certify_numeric(6, 1.0, 1.0).appendix
+    for name in LAZY_DEVIATIONS:
+        getattr(read, name)
+    assert set(LAZY_DEVIATIONS) <= read.__dict__.keys()
+    assert read == unread and hash(read) == hash(unread)
+    assert read == revival.appendix_phase_check(6, 1.0, 1.0)
+    assert read != revival.appendix_phase_check(6, 1.0, 3.0)
+
+
 @pytest.mark.parametrize("N, alpha, beta", [(4, 2.0, 1.0), (5, 2.0, 2.0), (4, 1.0, 0.0)])
 def test_certify_has_no_appendix_without_balanced_fr(N, alpha, beta):
     rep = revival.certify_numeric(N, alpha, beta)
@@ -448,9 +520,6 @@ def test_an_unrationalizable_ratio_has_no_exact_check():
     assert rep.certificate.kind == revival.NONE and rep.certificate.p is None
     assert rep.exact is None
     assert rep.passed
-
-
-coprime_ratios = st.tuples(st.integers(-30, 30), st.integers(1, 30)).filter(lambda r: gcd(*r) == 1)
 
 
 @settings(max_examples=200, deadline=None)
