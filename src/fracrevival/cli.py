@@ -217,10 +217,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     quotient_dev = None
     leakage = None
     if args.target in ("graph", "both"):
-        # vertex z holds the amplitude of its weight class: one byte per vertex, no 2^M state
+        # vertex z holds the amplitude of its weight class: one byte per vertex (the one 2^M table, so guarded first)
         spec = walk.WalkSpec(M=args.N - 1, alpha=args.alpha, beta=args.beta)
-        psi_w = walk.column_amplitudes(spec, tau)
         weights = scheme.hamming_weights(spec.M)
+        psi_w = walk.column_amplitudes(spec, tau)
         tables.append(("graph", psi_w, weights, 0))
     if args.target in ("chain", "both"):
         spec_c = chain_mod.ChainSpec(N=args.N, alpha=args.alpha, beta=args.beta)

@@ -75,10 +75,11 @@ def require_unit_norm(psi: np.ndarray) -> None:
 def eigenphases(tau, energies: np.ndarray) -> np.ndarray:
     """exp(-i tau E), a row per time of an array: every walk and chain eigenphase.
 
-    Refused before any exp, in order: a non-finite time, non-finite energies
-    (the spectrum overflowed), and a largest |tau| * max|E| that overflows.
+    Refused before any exp, in order: a table beyond check_elements, a non-finite time, non-finite
+    energies (the spectrum overflowed), and a largest |tau| * max|E| that overflows.
     """
     times = np.asarray(tau, dtype=float)
+    check_elements(times.size * energies.size, "the phase table")
     if not np.isfinite(times).all():
         raise InvalidInputError("tau must be finite")
     if not np.isfinite(energies).all():

@@ -10,7 +10,6 @@ weights K_s(w)/2^M of the corner-started walk are exact integers divided once.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb
 from numbers import Integral
 from operator import sub
 
@@ -35,21 +34,21 @@ def column_weights(M: int, rows=None) -> np.ndarray:
     The weights of the corner-started walk's amplitude on class w: K_s(w), the
     coefficient of z^s in P_w = (1 - z)^w (1 + z)^(M - w), is an exact integer
     divided once by 2^M, never converted to float on its own.  P_0 holds the
-    binomials C(M, s); (1 + z) P_{w+1} = (1 - z) P_w makes the coefficient of
-    z^s in P_{w+1} a_s - a_{s-1} minus its own coefficient of z^(s-1); and
-    K_s(M - w) = (-1)^s K_s(w).  So rows 0 and M cost O(M); the whole table is
-    refused above the size guard first, and a class that is not an integer in
-    [0, M] before any table.  No classes give a (0, M + 1) table.
-    oracle.krawtchouk is the reference.
+    binomials, C(M, s + 1) = C(M, s)(M - s)/(s + 1); (1 + z) P_{w+1} =
+    (1 - z) P_w makes the coefficient of z^s in P_{w+1} a_s - a_{s-1} minus
+    its own coefficient of z^(s-1); and K_s(M - w) = (-1)^s K_s(w).  Row 0
+    holds about M^2/2 bits and each division costs O(M), so (M + 1)^2 above
+    the size guard is refused first for any rows, then a class that is not an
+    integer in [0, M].  No classes give a (0, M + 1) table; oracle.krawtchouk is the reference.
     """
+    check_elements((M + 1) ** 2, f"the binomial row C({M}, s)")
     if rows is None:
-        check_elements((M + 1) ** 2, "the Krawtchouk matrix")
         rows = range(M + 1)
     elif not all(isinstance(w, Integral) for w in rows):
         raise InvalidInputError(f"weight classes must be integers, got {list(rows)}")
     elif not all(0 <= w <= M for w in rows):
         raise InvalidInputError(f"weight classes must lie in [0, {M}], got {list(rows)}")
-    table = [[comb(M, s) for s in range(M + 1)]]
+    table = [list(accumulate(range(M), lambda c, s: c * (M - s) // (s + 1), initial=1))]
     for _ in range(max((min(w, M - w) for w in rows), default=0)):
         differences = map(sub, table[-1], [0] + table[-1][:-1])  # a_s - a_{s-1}
         table.append(list(accumulate(differences, lambda below, d: d - below)))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import chain as chain_mod
 from . import scheme, walk
-from .errors import InvalidInputError, check_size, require_length, require_model
+from .errors import InvalidInputError, check_elements, require_length, require_model
 
 
 @dataclass(frozen=True)
@@ -172,19 +172,18 @@ class QuotientTable:
 def quotient_matrix_elements(N: int) -> QuotientTable:
     """Measure every column-basis matrix element of A_1 and A_2 and check the closed forms.
 
-    Refused first as errors.require_model and errors.check_size(N - 1) refuse,
-    then, before any count, when the largest product k_a k_b of column sizes
-    leaves the float range.  The elements come from the exact counts of
-    _pair_counts and the sizes k_n as Python ints.  Closed forms asserted
-    exactly on integers (squared where a square root is involved):
-    <col n+1|A_1|col n>^2 = n(N-n), 4<col n+/-2|A_2|col n>^2 =
-    n(n+1)(N-n)(N-n-1), <col n|A_2|col n> = (n-1)(N-n).  The same
-    distance-2 counts give the exact rational check of the shifted diagonal,
-    table.shifted.
+    Refused as errors.require_model refuses, then, before any count, when
+    (M + 1)^2, the order of the pair-count band's bits, exceeds the size guard
+    or the largest product k_a k_b of column sizes leaves the float range.  The
+    elements come from the exact counts of _pair_counts and the sizes k_n as
+    Python ints.  Closed forms asserted exactly on integers (squared where a
+    square root is involved): <col n+1|A_1|col n>^2 = n(N-n),
+    4<col n+/-2|A_2|col n>^2 = n(n+1)(N-n)(N-n-1), <col n|A_2|col n> = (n-1)(N-n).
+    The same distance-2 counts give table.shifted, the exact rational check of the shifted diagonal.
     """
     require_model(N)
     M = N - 1
-    check_size(M)
+    check_elements((M + 1) ** 2, f"the pair-count band of M = {M}")
     try:
         float(comb(M, M // 2) * comb(M, M // 2 + 1))  # the largest product k_a k_b read below
     except OverflowError as exc:
@@ -248,8 +247,13 @@ class EquivalenceReport:
 
     @property
     def resolved(self) -> bool:
-        """Whether the float resolves the 1e-10 deviation gate at tau (walk.resolves)."""
-        return walk.resolves(walk.WalkSpec(M=self.N - 1, alpha=self.alpha, beta=self.beta), self.tau, 1e-10)
+        """Whether 3 eps |tau| (R + |c|), R = max|E| and c = alpha(N-1)/4, lies below the 1e-10 deviation gate.
+
+        walk.resolves's account with the chain's reach R + |c| (its eigenvalues are E_s + c; eigh's backward
+        error stands in for the rounding of E_s), plus graph_phase's rounding of tau c: 1.5 R + 1.5 (R + |c|) + |c|/2.
+        """
+        spec = walk.WalkSpec(M=self.N - 1, alpha=self.alpha, beta=self.beta)
+        return 3 * walk.EPS * abs(self.tau) * (spec.reach + abs(self.alpha) * (self.N - 1) / 4) < 1e-10
 
     @property
     def passed(self) -> bool:

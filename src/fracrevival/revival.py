@@ -47,7 +47,7 @@ from math import copysign, gcd, inf, isfinite, isnan, isqrt, pi
 import numpy as np
 
 from . import chain, kraw, quotient, walk
-from .errors import InvalidInputError, check_size, require_model
+from .errors import InvalidInputError, require_model
 
 BALANCED_FR = "balanced_FR"
 PST_ONLY = "PST_only"
@@ -293,10 +293,9 @@ def _screen(spec: walk.WalkSpec, taus: np.ndarray):
     """
     steps = len(taus) - 1
     block = isqrt(steps) + 1
-    check_size(spec.M)
-    anchors = walk.phase_table(spec, taus[::-block])
+    weights = kraw.column_weights(spec.M, (0, spec.M)).T  # with its size refusal, before any exp
+    weighted = walk.phase_table(spec, taus[::-block])[:, :, None] * weights  # the anchors, from tau_max down
     offsets = walk.phase_table(spec, taus[:block])
-    weighted = anchors[:, :, None] * kraw.column_weights(spec.M, (0, spec.M)).T
     sums = offsets.conj() @ weighted.transpose(1, 0, 2).reshape(spec.M + 1, -1)
     corner, total = _probabilities(*sums.reshape(block, -1, 2).transpose(2, 0, 1))
     total[steps - (total.shape[1] - 1) * block:, -1] = -inf
@@ -317,8 +316,8 @@ def scan_balanced_fr(
     |mu|^2 within 1e-6 of one half.  tau = 0 (perfect return) is excluded
     from detection but included in the sweep; the maximum of |mu|^2 + |nu|^2
     is taken over tau > 0, the first grid point winning a tie.  The grid is
-    tau_grid(0.0, tau_max, steps), with its refusals, then check_size and
-    the eigenphase refusals on tau_max.
+    tau_grid(0.0, tau_max, steps), with its refusals, then those of
+    kraw.column_weights and of the eigenphases on tau_max (no 2^M table).
 
     The outcome is, field for field and bit for bit, the one antipodal_scan
     on every grid point gives (oracle.full_grid_scan), but exp runs on few

@@ -156,15 +156,11 @@ def column_amplitudes(spec: WalkSpec, taus, rows=None) -> np.ndarray:
     (a cumulative sum, a block of times at once, with no BLAS and no pairwise
     reduction), so a value's bits depend on its own time and class alone: not
     on the rest of the call or the BLAS kernel.  O(M) per value, with no 2^M
-    state; evolve_graph of the corner state is its oracle.  The size guard
-    applies as for evolution (a report of these values has 2^M rows), then
-    phase_table refuses, before exp and in evolve_graph's order, a time that
-    is not finite, a spectrum that overflows, and a largest |tau| whose phase
-    overflows.
+    table; evolve_graph of the corner state is its oracle.  Refused before any
+    exp by kraw.column_weights, then by phase_table, in evolve_graph's order.
     """
-    check_size(spec.M)
-    phases = phase_table(spec, taus)
     weights = kraw.column_weights(spec.M, rows)
+    phases = phase_table(spec, taus)
     flat = phases.reshape(-1, spec.M + 1)
     psi = np.empty((len(flat), len(weights)), dtype=complex)
     block = max(1, -(-len(flat) // max(1, 2 * len(weights))))  # half the phases' room: two blocks live at a reassignment

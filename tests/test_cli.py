@@ -209,6 +209,44 @@ def test_chain_and_spectrum_refused_before_allocation(capsys, monkeypatch, refus
     assert run(capsys, runs)[0] == 0
 
 
+def test_evolve_above_the_guard_is_refused_before_any_amplitude(capsys, monkeypatch):
+    # the report's 2^M rows are the one 2^M table evolve builds, so that guard refuses first
+    def no_amplitudes(*args):
+        raise AssertionError("amplitudes computed before the 2^M guard")
+
+    monkeypatch.setattr(walk, "column_amplitudes", no_amplitudes)
+    for target in ("graph", "both"):
+        argv = ["evolve", "--N", "28", "--alpha", "1", "--beta", "1", "--tau", "1", "--target", target]
+        assert run(capsys, argv) == (1, "", "error: M = 27 exceeds the guard (26); set REVIVAL_MAX_M to override\n")
+
+
+@pytest.mark.parametrize("N", range(5, 13))
+def test_verdicts_build_no_two_to_the_m_table(capsys, monkeypatch, N):
+    # above M = 3, where verify still checks the FWHT engine, no verdict calls the 2^M guard
+    def refuse(M):
+        raise AssertionError(f"the 2^M guard was called at M = {M}")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fracrevival") and hasattr(module, "check_size"):
+            monkeypatch.setattr(module, "check_size", refuse)
+    fr_beta = "1" if N % 2 == 0 else "2"  # alpha/beta = 1/q needs q and N of opposite parity
+    for argv in (["verify", "--alpha", "1", "--beta", "1"], ["verify", "--alpha", "1", "--beta", "2"],
+                 ["appendix", "--alpha", "1", "--beta", fr_beta],
+                 ["scan", "--alpha", "1", "--beta", "1", "--steps", "200"],
+                 ["quotient", "--alpha", "1", "--beta", "1", "--tau", "1.3"]):
+        code, out, err = run(capsys, argv + ["--N", str(N)])
+        assert (code, err) == (0, ""), argv
+
+
+def test_verdicts_run_to_the_binomial_budget(capsys):
+    # (M + 1)^2 <= 2^26 up to M = 8191: the binomial row C(M, s) bounds verify and scan
+    code, out, err = run(capsys, ["verify", "--N", "8192", "--alpha", "1", "--beta", "1"])
+    assert (code, err) == (0, "") and json.loads(out)["certificate"]["kind"] == "balanced_FR"
+    assert run(capsys, ["verify", "--N", "8193", "--alpha", "1", "--beta", "1"]) == (
+        1, "", "error: the binomial row C(8192, s) needs 67125249 elements, above the guard (2^26); "
+               "set REVIVAL_MAX_M to override\n")
+
+
 def test_scan_header_and_zero_row(capsys):
     code, out, _ = run(capsys, ["scan", "--N", "4", "--alpha", "2", "--beta", "2", "--steps", "8"])
     assert code == 0
@@ -457,25 +495,24 @@ def test_quotient_report_bytes_are_pinned(capsys, N):
 
 
 def test_quotient_above_the_guard_is_refused_before_any_count(capsys, monkeypatch):
+    # quotient builds no 2^M table: N = 28 runs, and the pair-count band gets the (M + 1)^2 budget
+    code, out, err = run(capsys, ["quotient", "--N", "28"])
+    assert (code, err) == (0, "") and json.loads(out)["exact_closed_forms"] is True
     monkeypatch.setattr(quotient, "_pair_counts", None)
-    assert run(capsys, ["quotient", "--N", "28"]) == (
-        1, "", "error: M = 27 exceeds the guard (26); set REVIVAL_MAX_M to override\n")
     assert run(capsys, ["quotient", "--N", "1000000000"]) == (
-        1, "", "error: M = 999999999 exceeds the guard (26); set REVIVAL_MAX_M to override\n")
+        1, "", "error: the pair-count band of M = 999999999 needs 1000000000000000000 elements, "
+               "above the guard (2^26); set REVIVAL_MAX_M to override\n")
 
 
-def test_quotient_under_a_raised_guard(capsys, monkeypatch):
-    monkeypatch.setenv("REVIVAL_MAX_M", "200")
+def test_quotient_at_large_n_needs_no_override(capsys, monkeypatch):
     code, out, err = run(capsys, ["quotient", "--N", "201"])
     assert (code, err) == (0, "")
     assert '"exact_closed_forms": true' in out
     # one rounding of the diagonal near N^2/4 passes the gate relative to the element's size
-    monkeypatch.setenv("REVIVAL_MAX_M", "300")
     code, out, err = run(capsys, ["quotient", "--N", "226"])
     assert (code, err) == (0, "")
     assert json.loads(out)["max_closed_form_deviation"] > 1e-12
     # from M = 63 a column size C(M, w) leaves int64, and no 2^M state is ever built
-    monkeypatch.setenv("REVIVAL_MAX_M", "100")
     code, out, err = run(capsys, ["quotient", "--N", "70", "--alpha", "1", "--beta", "1", "--tau", "1"])
     assert (code, err) == (0, "")
     assert json.loads(out)["equivalence"]["passed"] is True
@@ -485,9 +522,18 @@ def test_quotient_under_a_raised_guard(capsys, monkeypatch):
         raise AssertionError("counted before the overflow refusal")
 
     monkeypatch.setattr(quotient, "_pair_counts", refuse)
-    monkeypatch.setenv("REVIVAL_MAX_M", "600")
     assert run(capsys, ["quotient", "--N", "600"]) == (
         1, "", "error: the products of the column sizes C(599, n) overflow a float\n")
+
+
+def test_quotient_counts_the_chain_on_site_constant_in_its_rounding(capsys):
+    # the walk at N = 2 has no alpha term (max|E| = 1/2), but the chain carries alpha (N - 1)/4 = 2.5e7 on site
+    code, out, err = run(capsys, ["quotient", "--N", "2", "--alpha", "1e8", "--beta", "1", "--tau", "1.3"])
+    assert (code, err) == (0, "")
+    equivalence = json.loads(out)["equivalence"]
+    assert equivalence["passed"] is True and equivalence["max_deviation"] > 1e-10
+    assert not quotient.equivalence_check(2, 1e8, 1.0, 1.3).resolved
+    assert quotient.equivalence_check(2, 1.0, 1.0, 1.3).resolved
 
 
 @pytest.mark.parametrize("extra", [[], ["--alpha", "1", "--beta", "2", "--tau", "1.234"],
@@ -1237,22 +1283,20 @@ def test_verify_fails_when_an_amplitude_misses_a_resolvable_gate(capsys, monkeyp
 
 # each exited 2 before the exact verdict: the model is fine and a double cannot resolve tau max|E| to the gate
 FORMERLY_EXIT_TWO = [
-    ("", ["verify", "--N", "9", "--alpha", "999999", "--beta", "1e6", "--p", "999999", "--q", "1000000"]),
-    ("", ["appendix", "--N", "9", "--alpha", "999999", "--beta", "1e6", "--p", "999999", "--q", "1000000"]),
-    ("", ["verify", "--N", "4", "--alpha", "1", "--beta", "1e-300"]),
-    ("1000", ["verify", "--N", "1000", "--alpha", "1", "--beta", "1"]),
-    ("1000", ["appendix", "--N", "1000", "--alpha", "1", "--beta", "1"]),
-    ("", ["quotient", "--N", "9", "--alpha", "1e-5", "--beta", "3", "--tau", "fr"]),
-    ("", ["quotient", "--N", "11", "--alpha", "1e-5", "--beta", "3", "--tau", "fr"]),
-    ("", ["quotient", "--N", "15", "--alpha", "1e-5", "--beta", "3", "--tau", "fr"]),
-    ("", ["quotient", "--N", "7", "--alpha", "1e-5", "--beta", "3", "--tau", "fr"]),  # 2 under one BLAS kernel
+    ["verify", "--N", "9", "--alpha", "999999", "--beta", "1e6", "--p", "999999", "--q", "1000000"],
+    ["appendix", "--N", "9", "--alpha", "999999", "--beta", "1e6", "--p", "999999", "--q", "1000000"],
+    ["verify", "--N", "4", "--alpha", "1", "--beta", "1e-300"],
+    ["verify", "--N", "1000", "--alpha", "1", "--beta", "1"],
+    ["appendix", "--N", "1000", "--alpha", "1", "--beta", "1"],
+    ["quotient", "--N", "9", "--alpha", "1e-5", "--beta", "3", "--tau", "fr"],
+    ["quotient", "--N", "11", "--alpha", "1e-5", "--beta", "3", "--tau", "fr"],
+    ["quotient", "--N", "15", "--alpha", "1e-5", "--beta", "3", "--tau", "fr"],
+    ["quotient", "--N", "7", "--alpha", "1e-5", "--beta", "3", "--tau", "fr"],  # 2 under one BLAS kernel
 ]
 
 
-@pytest.mark.parametrize("guard, argv", FORMERLY_EXIT_TWO, ids=lambda value: " ".join(value) if value else "")
-def test_a_verdict_the_float_cannot_resolve_exits_zero(capsys, monkeypatch, guard, argv):
-    if guard:
-        monkeypatch.setenv("REVIVAL_MAX_M", guard)
+@pytest.mark.parametrize("argv", FORMERLY_EXIT_TWO, ids=" ".join)
+def test_a_verdict_the_float_cannot_resolve_exits_zero(capsys, argv):
     code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
     payload = json.loads(out)
@@ -1274,9 +1318,8 @@ def test_a_verdict_the_float_cannot_resolve_exits_zero(capsys, monkeypatch, guar
 
 
 @pytest.mark.parametrize("command", ["verify", "appendix"])
-def test_a_resolved_identity_passes_with_its_float_winding_past_the_gate(capsys, monkeypatch, command):
+def test_a_resolved_identity_passes_with_its_float_winding_past_the_gate(capsys, command):
     # the winding is decided in integers: its float deviation, 2.4e-10 here, gates nothing
-    monkeypatch.setenv("REVIVAL_MAX_M", "499")
     argv = [command, "--N", "500", "--alpha", "1", "--beta", "1"]
     assert run(capsys, argv)[0] == 0
     appendix = certify(argv).appendix

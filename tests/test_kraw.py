@@ -68,6 +68,20 @@ def test_column_weights_are_the_exact_values_over_two_to_the_m():
         assert kraw.column_weights(M, (M // 2,)).tobytes() == table[[M // 2]].tobytes()
 
 
+def test_corner_and_antipode_weights_are_the_binomials_over_two_to_the_m():
+    # row 0 comes from C(M, s + 1) = C(M, s)(M - s)/(s + 1); Pascal's rule gives each C(M, s) independently
+    binomials = [1]
+    for M in range(2001):
+        if M:
+            binomials = [a + b for a, b in zip(binomials + [0], [0] + binomials)]
+        if M in (0, 7, 1100, 2000):
+            assert binomials == [comb(M, s) for s in range(M + 1)]
+        scale = 2 ** M
+        corner = np.array([k / scale for k in binomials])
+        antipode = np.where(np.arange(M + 1) % 2, -corner, corner)
+        assert kraw.column_weights(M, (0, M)).tobytes() == np.array([corner, antipode]).tobytes(), M
+
+
 def test_column_weights_never_convert_a_big_integer_on_its_own():
     # C(1100, 550) leaves the float range; C(1100, 550)/2^1100 does not
     weights = kraw.column_weights(1100, (0, 1100))

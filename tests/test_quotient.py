@@ -129,8 +129,7 @@ def test_quotient_runs_to_the_size_guard(N):
 
 
 @pytest.mark.parametrize("N", [226, 300, 517])
-def test_quotient_gate_is_relative_to_each_element(monkeypatch, N):
-    monkeypatch.setenv("REVIVAL_MAX_M", "600")
+def test_quotient_gate_is_relative_to_each_element(N):
     table = quotient.quotient_matrix_elements(N)
     assert table.max_closed_form_deviation > 1e-12  # above an absolute gate, one rounding near N^2/4
     assert table.passed
