@@ -76,7 +76,8 @@ def eigenphases(tau, energies: np.ndarray) -> np.ndarray:
     """exp(-i tau E), a row per time of an array: every walk and chain eigenphase.
 
     Refused before any exp, in order: a table beyond check_elements, a non-finite time, non-finite
-    energies (the spectrum overflowed), and a largest |tau| * max|E| that overflows.
+    energies (the spectrum overflowed), and a largest |tau| * max|E| that overflows.  The exp runs
+    in place, so a table peaks at 1.5 times its size: itself and the real products.
     """
     times = np.asarray(tau, dtype=float)
     check_elements(times.size * energies.size, "the phase table")
@@ -88,4 +89,5 @@ def eigenphases(tau, energies: np.ndarray) -> np.ndarray:
     reach = tau if times.ndim == 0 else float(np.abs(times).max(initial=0.0))
     if not math.isfinite(float(reach) * largest):
         raise InvalidInputError(f"tau * max|E| overflows a float (tau = {reach!r}, max|E| = {largest!r})")
-    return np.exp(-1j * np.multiply.outer(times, energies))
+    table = -1j * np.multiply.outer(times, energies)
+    return np.exp(table, out=table)

@@ -253,7 +253,7 @@ class EquivalenceReport:
         error stands in for the rounding of E_s), plus graph_phase's rounding of tau c: 1.5 R + 1.5 (R + |c|) + |c|/2.
         """
         spec = walk.WalkSpec(M=self.N - 1, alpha=self.alpha, beta=self.beta)
-        return 3 * walk.EPS * abs(self.tau) * (spec.reach + abs(self.alpha) * (self.N - 1) / 4) < 1e-10
+        return walk.resolves(spec.reach + abs(self.alpha) * (self.N - 1) / 4, self.tau, 1e-10)
 
     @property
     def passed(self) -> bool:

@@ -19,10 +19,12 @@ and antipode amplitudes at O(M), with no 2^M state, from the closed form: the
 classes w = 0 and M of walk.column_amplitudes.  For balanced FR it also
 checks the closed matrix identity e^{-i tau H} = e^{-i phi'} (A_0 +- i A_M)/sqrt(2)
 that `appendix_phase_check` verifies eigenvalue by eigenvalue and, at
-M <= 8, entrywise.  An entry (x, y) of either side depends on the weight of
-x xor y alone (H is a Cayley graph on Z_2^M), so the entrywise check reads
-the M + 1 weight classes of column 0 from the site-1 chain, the walk's
-distance quotient, diagonalized from its couplings.
+M <= 8, entrywise.  Its exact check is the solver's: it holds exactly iff
+the balanced-FR revival at tau_fr does (AppendixReport.exact).  An entry
+(x, y) of either side depends on the weight of x xor y alone (H is a
+Cayley graph on Z_2^M), so the entrywise check reads the M + 1 weight
+classes of column 0 from the site-1 chain, the walk's distance quotient,
+diagonalized from its couplings.
 
 The float checks are cross-checks.  Where 3 eps |tau| max|E| reaches a gate
 (walk.resolves), rounding alone can move a value that far, so the report
@@ -147,18 +149,18 @@ class RevivalTimes:
 
 
 def solve_revival(N: int, p: int, q: int) -> RevivalTimes:
-    """The exact revival times of the N-site model with alpha/beta = p/q (p = 1, q = 0 at beta = 0), Python ints only."""
+    """The exact revival times of the N-site model with alpha/beta = p/q (p = 1, q = 0 at beta = 0), Python ints only.
+
+    O(1) at any N: G is gcd(d_2, 4 d_1), or 4 d_1 alone on two sites.  With
+    e_t = d_{2t}, the even terms, and o_t = d_{2t+1} - d_1, the odd
+    differences, e_t = t d_2 + 4p t(t - 1) and o_t = e_t + 4p t, while
+    4p = 2 d_2 - 4 d_1: every term of the gcd is an integer combination of
+    d_2 and 4 d_1, which are terms themselves (of the gcd of RevivalTimes).
+    """
     M = N - 1
-    d = [p * s * (s - M) - q * s for s in range(N)]
-    G = gcd(*d[2::2], *(v - d[1] for v in d[3::2]), 4 * d[1])
+    d = [p * s * (s - M) - q * s for s in range(min(N, 3))]
+    G = gcd(*d[2:], 4 * d[1])
     return RevivalTimes(G=G, a=4 * d[1] // G if G else 0)
-
-
-def _integers(cert: RevivalCertificate) -> tuple[int, int] | None:
-    """(p, q) with E_s - E_0 = u (p s(s - M) - q s): (1, 0) at beta = 0, None for a ratio with no close rational."""
-    if cert.beta == 0.0:
-        return 1, 0
-    return None if cert.p is None else (cert.p, cert.q)
 
 
 def _confirms(cert: RevivalCertificate) -> bool | None:
@@ -167,11 +169,11 @@ def _confirms(cert: RevivalCertificate) -> bool | None:
     tau_fr = pi q/(2|beta|) is x = 1/4 and tau_pst x = 1/2 (pi/(2|alpha|) is
     x = 1/4 at beta = 0): balanced FR needs x = 1/4 to be a balanced-FR time,
     PST only x = 1/2 to be a PST time, and a refusal no balanced-FR time at all.
+    The integers are p, q with E_s - E_0 = u (p s(s - M) - q s), or 1, 0 at beta = 0.
     """
-    integers = _integers(cert)
-    if integers is None:
+    if cert.beta != 0.0 and cert.p is None:
         return None
-    times = solve_revival(cert.N, *integers)
+    times = solve_revival(cert.N, *((1, 0) if cert.beta == 0.0 else (cert.p, cert.q)))
     if cert.kind == BALANCED_FR:
         return times.quarter_turns(1, 4) in (1, 3)
     if cert.kind == PST_ONLY:
@@ -393,7 +395,8 @@ def certify_numeric(
     """Run the evolution the certificate promises and measure the outcome.
 
     The exact check (report.exact) comes first: solve_revival must confirm
-    the certificate (_confirms); it is None only for a ratio with no close
+    the certificate (_confirms, read from report.appendix for balanced FR,
+    so the solver runs once); it is None only for a ratio with no close
     rational, which gives no integers.  Then the float checks, each at its
     gate unless the float cannot resolve that gate at its time
     (report.unresolved).  balanced_FR: at tau_FR both antipodal probabilities
@@ -447,8 +450,8 @@ def certify_numeric(
         checks["engine_dev"] = float(max(abs(psi[0] - amp.mu), abs(psi[-1] - amp.nu)))
         gates.append(("engine_dev", checks["engine_dev"] < PROB_TOL, PROB_TOL, tau))
 
-    exact = _confirms(cert)
-    unresolved = tuple(name for name, _, tolerance, time in gates if not walk.resolves(spec, time, tolerance))
+    exact = appendix.exact if appendix is not None else _confirms(cert)
+    unresolved = tuple(name for name, _, tolerance, time in gates if not walk.resolves(spec.reach, time, tolerance))
     passed = (exact is not False and all(holds or name in unresolved for name, holds, _, _ in gates)
               and (appendix is None or appendix.passed))
     return CertifyReport(
@@ -463,7 +466,11 @@ class AppendixReport:
     """Spectral verification of the balanced-revival matrix identity.
 
     certificate is the balanced-FR check_conditions verdict whose tau_fr the
-    identity was checked at; reports read p, q and the times from it.  The
+    identity was checked at; reports read p, q and the times from it.  exact
+    is the solver's check of it (_confirms): in eigenspace s, A_M is (-1)^s,
+    so the identity holds exactly iff every even-s eigenphase e^{-i tau E_s}
+    is equal and every odd-s one is a quarter turn off it, which is a
+    balanced-FR revival at tau_fr, quarter_turns(1, 4) in {1, 3}.  The
     float deviations no gate reads, winding_max_dev, step_phase_max_dev and
     phi_consistency_dev, are computed on first read (cached_property, as
     WalkSpec.energies is) from the fields: a verdict never pays their exp,
@@ -483,17 +490,16 @@ class AppendixReport:
     assembled_max_dev: float        # eigenvalue-level identity deviation
     dense_identity_dev: float | None  # entrywise over the whole matrix, from the chain, M <= 8 only
     certificate: RevivalCertificate
-    winding_exact: bool             # every M_s a multiple of 2 pi, in integers
-    step_phase_exact: bool          # every 4 tau alpha s a multiple of 2 pi, in integers
+    exact: bool                     # solve_revival confirms the balanced revival at tau (_confirms)
     resolved: bool                  # the float resolves the 1e-10 gate at tau (walk.resolves)
 
     @property
     def passed(self) -> bool:
-        """The exact winding and step phases, and the float deviations below 1e-10 wherever the float resolves that."""
+        """The exact identity, and the float deviations below 1e-10 wherever the float resolves that."""
         devs = [self.delta_dev, self.assembled_max_dev]
         if self.dense_identity_dev is not None:
             devs.append(self.dense_identity_dev)
-        return self.winding_exact and self.step_phase_exact and (max(devs) < 1e-10 or not self.resolved)
+        return self.exact and (max(devs) < 1e-10 or not self.resolved)
 
     @property
     def max_identity_dev(self) -> float:
@@ -524,10 +530,10 @@ def appendix_phase_check(
 ) -> AppendixReport:
     """Verify e^{-i tau H} = e^{-i phi'} (A_0 +- i A_{N-1}) / sqrt(2) at the FR time.
 
-    Checks, for every eigenspace index s: the winding term
+    Checks that the identity holds exactly, by solve_revival
+    (AppendixReport.exact); the float deviations of the winding terms
     M_s = 4 tau alpha s^2 - 2 tau alpha (N-1) s - 2 tau beta s and the step
-    phase 4 tau alpha s are multiples of 2 pi, decided in integers (their
-    float deviations are reported too); e^{i delta} with
+    phases 4 tau alpha s from multiples of 2 pi are reported; e^{i delta} with
     delta = (tau/2)(alpha - alpha(N-1) - beta) lands on {+-(1+-i)/sqrt(2)};
     and the assembled per-eigenvalue identity holds with one fixed sign and
     phase.  For M <= 8 the matrix identity is also checked entrywise, with
@@ -548,7 +554,6 @@ def appendix_phase_check(
 def _appendix_identity(cert: RevivalCertificate, spec: walk.WalkSpec) -> AppendixReport:
     """The checks of appendix_phase_check on a balanced-FR certificate and its walk."""
     N, alpha, beta, tau = cert.N, cert.alpha, cert.beta, cert.tau_fr
-    M = spec.M
     # phase_table refuses a non-finite tau, spectrum or phase before any exp below
     u = walk.phase_table(spec, tau)
     winding, delta, phi = _phases(N, alpha, beta, tau)
@@ -559,26 +564,21 @@ def _appendix_identity(cert: RevivalCertificate, spec: walk.WalkSpec) -> Appendi
     eighth_roots = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / np.sqrt(2.0)
     delta_dev = float(np.abs(np.exp(1j * delta) - eighth_roots).min())
 
-    # both signs eps = +-1 at once, a row each; argmin keeps the first of a tie, eps = +1
-    parity = (-1.0) ** np.arange(M + 1)
+    # both signs eps = +-1, a row each; argmin keeps the first of a tie, eps = +1
     signs = np.array([1, -1])
     factors = u[0] * np.sqrt(2.0) / (1 + 1j * signs)
-    devs = np.abs(u - factors[:, None] * (1 + 1j * signs[:, None] * parity) / np.sqrt(2.0)).max(axis=1)
+    # targets[row, parity of s]: the identity's eigenvalue factor (1 + i eps (-1)^s)/sqrt(2) on E(s)
+    targets = factors[:, None] * (1 + 1j * signs[:, None] * np.array([1.0, -1.0])) / np.sqrt(2.0)
+    devs = np.array([max(np.abs(u[0::2] - even).max(), np.abs(u[1::2] - odd).max()) for even, odd in targets])
     best = int(np.argmin(devs))
     sign, factor = int(signs[best]), complex(factors[best])
 
-    dense_dev = _chain_identity_dev(spec, tau, factor, sign) if M <= 8 else None
-
-    # tau_fr is x = 1/4 (RevivalTimes): with tau u = 2 pi x sign(u), M_s is 2 pi (4p s^2 - 2(pM + q)s)/4
-    # and 4 tau alpha s is 2 pi (4p s)/4, up to that sign
-    p, q = _integers(cert)
+    dense_dev = _chain_identity_dev(spec, tau, factor, sign) if spec.M <= 8 else None
     return AppendixReport(
         N=N, alpha=alpha, beta=beta, tau=tau, delta=delta, phi_prime=float(-np.angle(factor)),
         sign=sign, factor=factor, delta_dev=delta_dev, assembled_max_dev=float(devs[best]),
-        dense_identity_dev=dense_dev, certificate=cert,
-        winding_exact=_quarters_whole([4 * p * k * k - 2 * (p * M + q) * k for k in range(N)]),
-        step_phase_exact=_quarters_whole([4 * p * k for k in range(N)]),
-        resolved=walk.resolves(spec, tau, 1e-10),
+        dense_identity_dev=dense_dev, certificate=cert, exact=_confirms(cert),
+        resolved=walk.resolves(spec.reach, tau, 1e-10),
     )
 
 
@@ -591,11 +591,6 @@ def _phases(N: int, alpha: float, beta: float, tau: float):
     delta = (tau / 2.0) * (alpha - alpha * (N - 1) - beta)
     phi = tau * (alpha / 4.0 * (N - 1) * (N - 2) + beta / 2.0 * (N - 1)) + delta
     return winding, delta, phi
-
-
-def _quarters_whole(coefficients: list[int]) -> bool:
-    """Whether every phase 2 pi c/4 of the integers c given is a whole number of turns: 4 divides their gcd."""
-    return gcd(*coefficients) % 4 == 0
 
 
 def _chain_identity_dev(spec: walk.WalkSpec, tau: float, factor: complex, sign: int) -> float:

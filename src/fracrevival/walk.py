@@ -110,9 +110,11 @@ def phase_table(spec: WalkSpec, tau) -> np.ndarray:
     return eigenphases(tau, spec.energies)
 
 
-def resolves(spec: WalkSpec, tau: float, tolerance: float) -> bool:
-    """Whether a float gate of this tolerance at time tau lies above 3 eps |tau| max|E|, the most rounding can move it.
+def resolves(reach: float, tau: float, tolerance: float) -> bool:
+    """Whether a float gate of this tolerance at time tau lies above 3 eps |tau| R, the most rounding can move it.
 
+    R is the reach: max|E| (WalkSpec.reach), or a wider bound where a gate
+    also reads other eigenvalues (quotient.EquivalenceReport.resolved).
     A gate weighs computed phases tau E_s against one another: the appendix
     identity sets each against that of s = 0, and an amplitude sums them.
     With eps = 2^-52 and R = max|E|, each phase carries two roundings:
@@ -129,7 +131,7 @@ def resolves(spec: WalkSpec, tau: float, tolerance: float) -> bool:
     the gate's exact time; the rounding of exp and of the gate's own
     arithmetic, a few eps with no factor tau, lies far below every gate.
     """
-    return 3 * EPS * abs(tau) * spec.reach < tolerance
+    return 3 * EPS * abs(tau) * reach < tolerance
 
 
 def evolve_graph(spec: WalkSpec, psi0: np.ndarray, tau: float) -> np.ndarray:

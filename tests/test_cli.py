@@ -1313,17 +1313,17 @@ def test_a_verdict_the_float_cannot_resolve_exits_zero(capsys, argv):
         # the float winding misses its old 1e-10 gate: 7.1e-9 at N = 9, 6.9e-10 at N = 1000; neither
         # resolves the identity's gate (3 eps tau max|E| is 2.6e-10 at N = 1000; see the N = 500 test below)
         assert report.appendix.winding_max_dev > 1e-10
-        assert report.appendix.winding_exact and report.appendix.step_phase_exact
+        assert report.appendix.exact
         assert not report.appendix.resolved
 
 
 @pytest.mark.parametrize("command", ["verify", "appendix"])
 def test_a_resolved_identity_passes_with_its_float_winding_past_the_gate(capsys, command):
-    # the winding is decided in integers: its float deviation, 2.4e-10 here, gates nothing
+    # the identity is decided exactly by the solver: the float winding's deviation, 2.4e-10 here, gates nothing
     argv = [command, "--N", "500", "--alpha", "1", "--beta", "1"]
     assert run(capsys, argv)[0] == 0
     appendix = certify(argv).appendix
-    assert appendix.resolved and appendix.winding_exact and appendix.passed
+    assert appendix.resolved and appendix.exact and appendix.passed
     assert appendix.winding_max_dev > 1e-10
 
 
@@ -1346,7 +1346,7 @@ def test_a_small_alpha_revival_within_rounding_of_its_gate_exits_zero(capsys, co
     assert (code, err) == (0, "")
     report = certify([command] + params)
     appendix = report.appendix
-    assert report.exact is True and appendix.winding_exact and appendix.step_phase_exact
+    assert report.exact is True and appendix.exact
     # 1.1-1.3e-10, above the gate but within what rounding moves two phases apart (walk.resolves)
     spec = walk.WalkSpec(int(params[1]) - 1, float(params[3]), float(params[5]))
     assert 1e-10 < appendix.assembled_max_dev <= 3 * walk.EPS * appendix.tau * spec.reach

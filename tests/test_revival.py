@@ -1,6 +1,7 @@
 """Revival arithmetic, numeric certification, and the antipodal phase identity."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 from math import gcd, pi
 
@@ -211,14 +212,15 @@ def test_appendix_nnn_only_case():
 
 
 @pytest.mark.parametrize("N, alpha, beta", [(5, 2.0, 2.0), (6, 1.0, 2.0), (4, 1.0, 0.0), (6, -1.3, 0.0)])
-def test_the_appendix_decides_its_winding_in_integers(N, alpha, beta):
+def test_the_solver_refutes_the_identity_of_a_forged_certificate(N, alpha, beta):
     # the parity rule refuses these; claim FR at the would-be time anyway
     cert = revival.check_conditions(N, alpha, beta)
     assert cert.kind == revival.NONE
     tau = revival._fr_time(alpha, beta, cert.q)
     forged = dataclasses.replace(cert, kind=revival.BALANCED_FR, tau_fr=tau, tau_pst=2 * tau)
+    assert revival._confirms(forged) is False
     report = revival._appendix_identity(forged, walk.WalkSpec(N - 1, alpha, beta))
-    assert not report.winding_exact and report.step_phase_exact and report.resolved
+    assert not report.exact and report.resolved
     assert report.winding_max_dev > 1.0  # a quarter or half turn off, in floats too
     assert not report.passed
 
@@ -555,6 +557,39 @@ def test_the_solver_equals_the_parity_rule(N, p, q, sign_alpha, sign_beta):
     if cert.kind != revival.NONE:
         assert 2 * pi * times.pst / unit == pytest.approx(cert.tau_pst, rel=1e-12)
     assert revival._confirms(cert) is True
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=st.integers(2, 300), p=st.integers(-10 ** 6, 10 ** 6), q=st.integers(0, 10 ** 6))
+@example(N=5, p=1, q=0)
+@example(N=6, p=0, q=0)  # every d_s zero: no revival
+def test_two_terms_give_the_gcd_over_every_site(N, p, q):
+    M = N - 1
+    d = [p * s * (s - M) - q * s for s in range(N)]
+    G = gcd(*d[2::2], *(v - d[1] for v in d[3::2]), 4 * d[1])
+    assert revival.solve_revival(N, p, q) == revival.RevivalTimes(G=G, a=4 * d[1] // G if G else 0)
+
+
+def test_the_solver_holds_no_per_site_table():
+    tracemalloc.start()
+    try:
+        times = revival.solve_revival(10 ** 9, 3, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    assert times.kind == revival.check_conditions(10 ** 9, 1.5, 1.0).kind == revival.NONE  # q, N both even
+
+
+@pytest.mark.parametrize("N, alpha, beta", [(4, 2.0, 2.0), (5, 1.0, 0.0), (4, 2.0, 1.0), (4, 1.0, 1.0), (5, 1.0 + 1e-8, 1.0)])
+def test_a_verdict_calls_the_solver_at_most_once(monkeypatch, N, alpha, beta):
+    calls = []
+    solve = revival.solve_revival
+    monkeypatch.setattr(revival, "solve_revival", lambda *args: calls.append(args) or solve(*args))
+    report = revival.certify_numeric(N, alpha, beta)
+    assert len(calls) == (report.exact is not None)
+    if report.appendix is not None:
+        assert report.exact is report.appendix.exact is True
 
 
 @pytest.mark.parametrize("p, q, kind", [(1, 1, revival.BALANCED_FR), (2, 1, revival.PST_ONLY), (1, 2, revival.NONE),

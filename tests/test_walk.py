@@ -1,5 +1,6 @@
 """Walsh-Hadamard engine versus the dense oracle, and antipodal readout."""
 
+import tracemalloc
 from math import pi, sqrt
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracrevival import oracle, scheme, walk
+from fracrevival import errors, oracle, scheme, walk
 from fracrevival.errors import InvalidInputError, ResourceLimitError
 
 
@@ -295,6 +296,21 @@ def test_resource_guard_and_env_override(monkeypatch):
         walk.corner_state(27)  # refused before the 2 GiB start state is allocated
     # the M + 1 class amplitudes need no 2^M table, so no 2^M guard
     assert walk.column_amplitudes(walk.WalkSpec(M=27, alpha=1.0, beta=1.0), 1.0).shape == (28,)
+
+
+def test_a_phase_table_peaks_below_twice_its_size():
+    # the exp runs in place: at its peak the complex table and the real products it came from, 24 bytes a phase
+    taus = np.linspace(0.0, 2.0, 1001)
+    energies = np.linspace(-3.0, 3.0, 1024)
+    tracemalloc.start()
+    try:
+        table = errors.eigenphases(taus, energies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * table.nbytes
+    reference = np.exp(-1j * np.multiply.outer(taus, energies))
+    assert np.array_equal(table.view(np.uint64), reference.view(np.uint64))
 
 
 def test_remove_global_phase():
