@@ -5,8 +5,10 @@ amplitudes J_n = sqrt(n(N-n))/2 are the recurrence coefficients of the
 Krawtchouk polynomials; the one-excitation Hamiltonian is the pentadiagonal
 operator with nearest couplings beta*J_n, next-to-nearest couplings
 alpha*J_n*J_{n+1} and on-site terms alpha*(J_n^2 + J_{n-1}^2), which factors
-exactly as alpha*J^2 + beta*J.  Evolution uses a full symmetric
-eigendecomposition; N stays at desk scale, so exactness beats scalability.
+exactly as alpha*J^2 + beta*J: on the column space, the walk's Hamiltonian
+plus c = (alpha/4)(N-1), formed here alone.  Evolution diagonalizes H - cI in
+full, in the walk's spectrum, and restores c as one phase (graph_phase); N
+stays at desk scale, so exactness beats scalability.
 """
 
 from __future__ import annotations
@@ -71,26 +73,33 @@ def site_state(N: int, site: int) -> np.ndarray:
 def chain_evolve(spec: ChainSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
     """Evolve a one-excitation state: returns exp(-i tau H) psi0.
 
-    The input must already be unit norm (no silent renormalization); the
-    propagator is built from the dense symmetric eigendecomposition, whose
-    N x N matrix the size guard holds.  The eigenphase refusals come before
-    the norm check.
+    The dense eigendecomposition of H - cI (N x N, held by the size guard),
+    whose eigenvalues are the walk's E_s, so that phases and rounding stay
+    within the walk's max|E|, times exp(-i tau c) = conj(graph_phase).  The input must
+    be unit norm (no silent renormalization), checked after the eigenphase
+    refusals and then graph_phase's.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     require_length(psi0, spec.N)
-    w, v = np.linalg.eigh(build_hamiltonian(spec))
-    phases = eigenphases(tau, w)
+    h = build_hamiltonian(spec)
+    h[np.diag_indices(spec.N)] -= _on_site(spec.N, spec.alpha)
+    w, v = np.linalg.eigh(h)
+    phases = eigenphases(tau, w) * np.conj(graph_phase(spec.N, spec.alpha, tau))
     require_unit_norm(psi0)
     return v @ (phases * (v.T @ psi0))
 
 
-def graph_phase(N: int, alpha: float, tau: float) -> complex:
-    """exp(+i tau alpha (N-1)/4), which turns the site-1 chain at tau into the corner-started walk's column coordinates.
+def _on_site(N: int, alpha: float) -> float:
+    """c = (alpha/4)(N-1), the constant the walk's Hamiltonian drops: alpha/4 first, so no product overflows before c."""
+    return alpha / 4.0 * (N - 1)
 
-    It restores the constant (alpha/4)(N-1) I dropped in reducing the graph Hamiltonian
-    to (alpha/2)A_2 + (beta/2)A_1; a phase that overflows is refused.
+
+def graph_phase(N: int, alpha: float, tau: float) -> complex:
+    """exp(+i tau c), which cancels chain_evolve's exp(-i tau c): the site-1 chain times it is the walk's column coordinates.
+
+    tau * c is finite wherever tau max|E_s + c| is, as |c| <= max|E_s + c|; a phase that overflows is refused.
     """
-    shift = tau * alpha * (N - 1) / 4.0
+    shift = tau * _on_site(N, alpha)
     if not np.isfinite(shift):
         raise InvalidInputError("the chain phase tau * alpha * (N - 1) / 4 overflows a float")
     return np.exp(1j * shift)

@@ -121,21 +121,18 @@ class QuotientTable:
     N: int
     a1_upper: np.ndarray   # <col n+1|A_1|col n>, n = 1..N-1
     a2_upper: np.ndarray   # <col n+2|A_2|col n>, n = 1..N-2
-    a2_lower: np.ndarray   # <col n-2|A_2|col n>, n = 3..N
     a2_diag: np.ndarray    # <col n|A_2|col n>,  n = 1..N
     exact_closed_forms: bool
     shifted: ShiftedDiagonalReport  # the on-site check, from the same distance-2 counts
 
     def _closed_form_pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each float element array with its closed form: sqrt(n(N-n)), the A_2 band (both ways) and (n-1)(N-n)."""
+        """Each float element array with its closed form: sqrt(n(N-n)), the A_2 band and (n-1)(N-n)."""
         N = self.N
         n = np.arange(1, N, dtype=float)
         pairs = [(self.a1_upper, np.sqrt(n * (N - n)))]
         if N >= 3:
             n = np.arange(1, N - 1, dtype=float)
-            closed = 0.5 * np.sqrt(n * (n + 1) * (N - n) * (N - n - 1))
-            # symmetry: <col n-2|A_2|col n> for n = 3..N equals the forward band
-            pairs += [(self.a2_upper, closed), (self.a2_lower, closed)]
+            pairs.append((self.a2_upper, 0.5 * np.sqrt(n * (n + 1) * (N - n) * (N - n - 1))))
         n = np.arange(1, N + 1, dtype=float)
         pairs.append((self.a2_diag, (n - 1) * (N - n)))
         return pairs
@@ -195,7 +192,6 @@ def quotient_matrix_elements(N: int) -> QuotientTable:
     # counts index by bit-weight w = n-1
     a1_upper = np.array([counts1[n - 1, n] / np.sqrt(float(k[n - 1] * k[n])) for n in range(1, N)])
     a2_upper = np.array([counts2[n - 1, n + 1] / np.sqrt(float(k[n - 1] * k[n + 1])) for n in range(1, N - 1)])
-    a2_lower = np.array([counts2[n - 1, n - 3] / np.sqrt(float(k[n - 1] * k[n - 3])) for n in range(3, N + 1)])
     a2_diag = np.array([counts2[n - 1, n - 1] / k[n - 1] for n in range(1, N + 1)], dtype=float)
 
     exact = True
@@ -222,7 +218,6 @@ def quotient_matrix_elements(N: int) -> QuotientTable:
         N=N,
         a1_upper=a1_upper,
         a2_upper=a2_upper,
-        a2_lower=a2_lower,
         a2_diag=a2_diag,
         exact_closed_forms=bool(exact),
         shifted=ShiftedDiagonalReport(N=N, exact=bool(shifted_exact), max_deviation=shifted_dev),
@@ -247,13 +242,9 @@ class EquivalenceReport:
 
     @property
     def resolved(self) -> bool:
-        """Whether 3 eps |tau| (R + |c|), R = max|E| and c = alpha(N-1)/4, lies below the 1e-10 deviation gate.
-
-        walk.resolves's account with the chain's reach R + |c| (its eigenvalues are E_s + c; eigh's backward
-        error stands in for the rounding of E_s), plus graph_phase's rounding of tau c: 1.5 R + 1.5 (R + |c|) + |c|/2.
-        """
+        """Whether walk.resolves the 1e-10 deviation gate at tau: the chain evolves in the walk's spectrum too."""
         spec = walk.WalkSpec(M=self.N - 1, alpha=self.alpha, beta=self.beta)
-        return walk.resolves(spec.reach + abs(self.alpha) * (self.N - 1) / 4, self.tau, 1e-10)
+        return walk.resolves(spec.reach, self.tau, 1e-10)
 
     @property
     def passed(self) -> bool:
@@ -281,7 +272,8 @@ def compare_states(
     """Compare the corner-started walk and the site-1 chain, both already evolved to tau.
 
     The walk comes as its column coordinates (project or column_state), and
-    the chain side is multiplied by chain.graph_phase, with its refusal.
+    the chain side is multiplied by chain.graph_phase (with its refusal),
+    which cancels chain_evolve's exp(-i tau c).
     """
     chain_side = chain_mod.graph_phase(N, alpha, tau) * chain_state
     dev = float(np.abs(graph_columns.coords - chain_side).max())

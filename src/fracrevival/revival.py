@@ -24,7 +24,7 @@ the balanced-FR revival at tau_fr does (AppendixReport.exact).  An entry
 (x, y) of either side depends on the weight of x xor y alone (H is a
 Cayley graph on Z_2^M), so the entrywise check reads the M + 1 weight
 classes of column 0 from the site-1 chain, the walk's distance quotient,
-diagonalized from its couplings.
+diagonalized in the walk's spectrum (chain.chain_evolve).
 
 The float checks are cross-checks.  Where 3 eps |tau| max|E| reaches a gate
 (walk.resolves), rounding alone can move a value that far, so the report
@@ -603,10 +603,7 @@ def _chain_identity_dev(spec: walk.WalkSpec, tau: float, factor: complex, sign: 
     site-1 chain evolved by tau, times chain.graph_phase, over sqrt(C(M, w)).
     """
     N = spec.M + 1
-    # the chain of couplings tau alpha, tau beta at unit time is the chain at tau: its spectrum fits a
-    # float where the chain's own, (alpha/4)(N-1) wider than the walk's, can overflow
-    scaled = chain.ChainSpec(N, tau * spec.alpha, tau * spec.beta)
-    coords = chain.chain_evolve(scaled, chain.site_state(N, 1), 1.0)
+    coords = chain.chain_evolve(chain.ChainSpec(N, spec.alpha, spec.beta), chain.site_state(N, 1), tau)
     g = coords * chain.graph_phase(N, spec.alpha, tau) / np.sqrt(quotient.ColumnBasis(N).sizes)
     target = np.zeros(N, dtype=complex)
     target[[0, -1]] = factor * np.array([1.0, 1j * sign]) / np.sqrt(2.0)

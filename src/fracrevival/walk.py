@@ -113,8 +113,7 @@ def phase_table(spec: WalkSpec, tau) -> np.ndarray:
 def resolves(reach: float, tau: float, tolerance: float) -> bool:
     """Whether a float gate of this tolerance at time tau lies above 3 eps |tau| R, the most rounding can move it.
 
-    R is the reach: max|E| (WalkSpec.reach), or a wider bound where a gate
-    also reads other eigenvalues (quotient.EquivalenceReport.resolved).
+    R is the reach max|E| (WalkSpec.reach), the chain's too (chain.chain_evolve).
     A gate weighs computed phases tau E_s against one another: the appendix
     identity sets each against that of s = 0, and an amplitude sums them.
     With eps = 2^-52 and R = max|E|, each phase carries two roundings:
@@ -165,10 +164,11 @@ def column_amplitudes(spec: WalkSpec, taus, rows=None) -> np.ndarray:
     phases = phase_table(spec, taus)
     flat = phases.reshape(-1, spec.M + 1)
     psi = np.empty((len(flat), len(weights)), dtype=complex)
-    block = max(1, -(-len(flat) // max(1, 2 * len(weights))))  # half the phases' room: two blocks live at a reassignment
+    block = max(1, -(-len(flat) // max(1, 2 * len(weights))))  # half the phases' room, one block alive at a time
     for lo in range(0, len(flat), block):
         terms = flat[lo:lo + block, None] * weights
         psi[lo:lo + block] = np.cumsum(terms, axis=-1, out=terms)[..., -1]
+        del terms
     return psi.reshape(phases.shape[:-1] + psi.shape[1:])
 
 

@@ -411,14 +411,12 @@ def test_scan_and_library_share_tau_grid_refusals(capsys, monkeypatch, tau_max, 
     # an odd p next to 1e306 gives balanced FR at N = 16, where 4 tau alpha M^2 overflows
     (["appendix", "--N", "16", "--alpha", "1e306", "--beta", "1", "--p", str(int(1e306) + 1), "--q", "1"],
      "the winding, delta or phi phase overflows"),
-    # the chain-side phase tau * alpha * (N - 1) / 4 overflows after both evolutions passed
-    (["quotient", "--N", "3", "--alpha", "6", "--beta", "2e-307", "--tau", "pst"],
+    # the chain phase tau (alpha/4)(N - 1) overflows where the walk's max|E| = |beta|/2 at N = 2 does not
+    (["quotient", "--N", "2", "--alpha", "1e308", "--beta", "1", "--tau", "10"],
      "the chain phase tau * alpha * (N - 1) / 4 overflows a float"),
-    (["evolve", "--N", "3", "--alpha", "6", "--beta", "2e-307", "--tau", "pst", "--target", "both"],
+    (["evolve", "--N", "2", "--alpha", "1e308", "--beta", "1", "--tau", "10", "--target", "chain"],
      "the chain phase tau * alpha * (N - 1) / 4 overflows a float"),
-    (["evolve", "--N", "3", "--alpha", "6", "--beta", "2e-307", "--tau", "pst", "--target", "both", "--json"],
-     "the chain phase tau * alpha * (N - 1) / 4 overflows a float"),
-    (["evolve", "--N", "3", "--alpha", "1e308", "--beta", "0", "--tau", "1.234", "--target", "both"],
+    (["evolve", "--N", "2", "--alpha", "1e308", "--beta", "1", "--tau", "10", "--target", "both", "--json"],
      "the chain phase tau * alpha * (N - 1) / 4 overflows a float"),
     # scan, evolve at a numeric tau and quotient take no ratio, yet refuse one that contradicts
     (["scan", "--N", "4", "--alpha", "1", "--beta", "1", "--p", "5", "--q", "0", "--steps", "2"],
@@ -436,6 +434,36 @@ def test_ratio_inputs_exit_one_with_one_line(capsys, argv, message):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    # tau * alpha * (N - 1) overflows, but the chain phase is tau * ((alpha/4)(N - 1)), which fits
+    ["quotient", "--N", "3", "--alpha", "6", "--beta", "2e-307", "--tau", "pst"],
+    ["evolve", "--N", "3", "--alpha", "6", "--beta", "2e-307", "--tau", "pst", "--target", "both"],
+    ["evolve", "--N", "3", "--alpha", "6", "--beta", "2e-307", "--tau", "pst", "--target", "both", "--json"],
+    ["evolve", "--N", "3", "--alpha", "1e308", "--beta", "0", "--tau", "1.234", "--target", "both"],
+])
+def test_a_chain_phase_that_fits_a_float_runs(capsys, argv):
+    code, out, err = run_without_warnings(capsys, argv)
+    assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("target", ["chain", "both"])
+@pytest.mark.parametrize("tau", ["fr", "pst"])
+def test_the_chain_runs_where_the_walk_runs(capsys, tau, target):
+    # the walk's max|E| is 1.5e308, but H = alpha J^2 + beta J reaches 1.875e308 = max|E| + (alpha/4)(N - 1):
+    # only H - cI fits a float
+    argv = ["--N", "4", "--alpha", "5e307", "--beta", "5e307", "--tau", tau]
+    code, out, err = run_without_warnings(capsys, ["evolve"] + argv + ["--target", target, "--json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    chain_rows = [row for row in report["amplitudes"] if row["system"] == "chain"]
+    assert len(chain_rows) == 4 and abs(sum(row["probability"] for row in chain_rows) - 1.0) < 1e-12
+    if target == "both":
+        assert report["quotient_max_deviation"] < 1e-10 and abs(report["leakage"]) < 1e-10
+    code, out, err = run_without_warnings(capsys, ["quotient"] + argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["equivalence"]["passed"] is True
 
 
 @pytest.mark.parametrize("N", ["1", "0"])
@@ -526,13 +554,14 @@ def test_quotient_at_large_n_needs_no_override(capsys, monkeypatch):
         1, "", "error: the products of the column sizes C(599, n) overflow a float\n")
 
 
-def test_quotient_counts_the_chain_on_site_constant_in_its_rounding(capsys):
-    # the walk at N = 2 has no alpha term (max|E| = 1/2), but the chain carries alpha (N - 1)/4 = 2.5e7 on site
+def test_the_chain_on_site_constant_cancels_in_the_quotient(capsys):
+    # the walk at N = 2 has no alpha term (max|E| = 1/2); the chain's on-site alpha (N - 1)/4 = 2.5e7
+    # leaves its spectrum before eigh, and its phase cancels against graph_phase, rounding of tau c included
     code, out, err = run(capsys, ["quotient", "--N", "2", "--alpha", "1e8", "--beta", "1", "--tau", "1.3"])
     assert (code, err) == (0, "")
     equivalence = json.loads(out)["equivalence"]
-    assert equivalence["passed"] is True and equivalence["max_deviation"] > 1e-10
-    assert not quotient.equivalence_check(2, 1e8, 1.0, 1.3).resolved
+    assert equivalence["passed"] is True and equivalence["max_deviation"] < 1e-14
+    assert quotient.equivalence_check(2, 1e8, 1.0, 1.3).resolved
     assert quotient.equivalence_check(2, 1.0, 1.0, 1.3).resolved
 
 

@@ -471,9 +471,9 @@ def _shifted_chain(monkeypatch, symmetric):
 
 @pytest.mark.parametrize("symmetric", [True, False], ids=["mirror-symmetric", "asymmetric"])
 def test_a_perturbed_chain_fails_as_column_zero_of_the_perturbed_graph(monkeypatch, symmetric):
-    # site 1 is the corner's column and site N the antipode's, each a single vertex; the chain is
-    # built for tau H, so the perturbed chain is the quotient of H + (1e-6/tau)(e_0 e_0^T [+ e_J0 e_J0^T]),
-    # no longer a Cayley graph, whose column 0 the reduction reads
+    # site 1 is the corner's column and site N the antipode's, each a single vertex, so the perturbed
+    # chain is the quotient of H + 1e-6 (e_0 e_0^T [+ e_J0 e_J0^T]), no longer a Cayley graph, whose
+    # column 0 the reduction reads
     _shifted_chain(monkeypatch, symmetric)
     shapes = _record_eigh(monkeypatch)
     report = revival.appendix_phase_check(4, 2.0, 2.0)
@@ -482,9 +482,9 @@ def test_a_perturbed_chain_fails_as_column_zero_of_the_perturbed_graph(monkeypat
     assert report.dense_identity_dev > 1e-7
     assert shapes == [(4, 4)]
     h = walk.dense_hamiltonian(walk.WalkSpec(3, 2.0, 2.0))
-    h[0, 0] += 1e-6 / report.tau
+    h[0, 0] += 1e-6
     if symmetric:
-        h[-1, -1] += 1e-6 / report.tau
+        h[-1, -1] += 1e-6
     full = _full_identity_dev(h, report.tau, np.exp(-1j * report.phi_prime), report.sign, columns=0)
     assert abs(report.dense_identity_dev - full) <= 1e-13
 

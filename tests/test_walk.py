@@ -313,6 +313,19 @@ def test_a_phase_table_peaks_below_twice_its_size():
     assert np.array_equal(table.view(np.uint64), reference.view(np.uint64))
 
 
+def test_column_amplitudes_hold_one_block_of_products_at_a_time():
+    # the eigenphases' own 1.5x, then the table and one block of products (half its size) at a time
+    spec = walk.WalkSpec(M=1023, alpha=1.0, beta=1.0)
+    taus = np.linspace(0.0, 2.0, 1001)
+    tracemalloc.start()
+    try:
+        walk.antipodal_scan(spec, taus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * taus.size * (spec.M + 1) * np.dtype(complex).itemsize
+
+
 def test_remove_global_phase():
     rng = np.random.default_rng(17)
     psi = random_state(rng, 16)
