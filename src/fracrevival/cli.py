@@ -123,29 +123,9 @@ def _write(pieces, args: argparse.Namespace) -> None:
         raise InvalidInputError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
-def _fields(report, names: str) -> dict:
-    """One JSON block: the named attributes of a report, in output order."""
-    return {name: getattr(report, name) for name in names.split()}
-
-
-PARAMS_FIELDS = "N alpha beta p q"
-CERTIFICATE_FIELDS = "kind tau_fr tau_pst reason"
-SCAN_FIELDS = "tau_max steps balanced_found balanced_tau max_revival_sum tau_at_max_sum"
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     report = revival.certify_numeric(args.N, args.alpha, args.beta, p=args.p, q=args.q)
-    cert = report.certificate
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "params": _fields(cert, PARAMS_FIELDS),
-        "certificate": _fields(cert, CERTIFICATE_FIELDS),
-        "numeric": _fields(report, "mu nu leakage"),
-        "appendix": (_fields(report.appendix, "delta phi_prime sign max_identity_dev")
-                     if report.appendix is not None else None),
-        "scan": _fields(report.scan, SCAN_FIELDS) if report.scan is not None else None,
-    }
-    _write([_render_json(payload) + "\n"], args)
+    _write([_render_json({"schema": SCHEMA_VERSION, **report.to_dict()}) + "\n"], args)
     return 0 if report.passed else 2
 
 
@@ -153,11 +133,7 @@ def _resolve_tau(args: argparse.Namespace) -> float:
     if isinstance(args.tau, float):
         return args.tau
     # _tau_arg admits only a number, "fr" or "pst"
-    cert = revival.check_conditions(args.N, args.alpha, args.beta, p=args.p, q=args.q)
-    tau = cert.tau_fr if args.tau == "fr" else cert.tau_pst
-    if tau is None:
-        raise InvalidInputError(f"no {args.tau.upper()} time exists for these parameters")
-    return tau
+    return revival.check_conditions(args.N, args.alpha, args.beta, p=args.p, q=args.q).time(args.tau)
 
 
 def _amplitude_blocks(tables, layout: tuple[str, str], sep: str = ""):
@@ -235,7 +211,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     if args.json:
         payload = {
             "schema": SCHEMA_VERSION,
-            "params": _fields(args, "N alpha beta"),
+            "params": {"N": args.N, "alpha": args.alpha, "beta": args.beta},
             "tau": tau,
             "target": args.target,
             "amplitudes": _TABLE,
@@ -279,66 +255,22 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
-    if args.random_trials < 0:
-        raise InvalidInputError(f"random trials must be non-negative, got {args.random_trials}")
-    if args.seed < 0:
-        raise InvalidInputError(f"seed must be non-negative, got {args.seed}")
+    trials = quotient.RandomEquivalence(args.N, args.random_trials, args.seed)
     table = quotient.quotient_matrix_elements(args.N)
-    ok = table.passed and table.shifted.passed
-
-    equivalence_obj = None
+    equivalence = None
     if args.tau is not None:
-        tau = _resolve_tau(args)
-        rep = quotient.equivalence_check(args.N, args.alpha, args.beta, tau)
-        equivalence_obj = _fields(rep, "tau max_deviation leakage passed")
-        ok = ok and rep.passed
-
-    random_obj = None
-    if args.random_trials > 0:
-        rng = np.random.default_rng(args.seed)
-        worst_dev = 0.0
-        worst_leak = 0.0
-        for _ in range(args.random_trials):
-            alpha = float(rng.uniform(-2.0, 2.0))
-            beta = float(rng.uniform(-2.0, 2.0))
-            if abs(alpha) < 1e-3 and abs(beta) < 1e-3:
-                alpha = 1.0
-            tau = float(rng.uniform(0.0, 2.0 * math.pi))
-            rep = quotient.equivalence_check(args.N, alpha, beta, tau)
-            worst_dev = max(worst_dev, rep.max_deviation)
-            worst_leak = max(worst_leak, abs(rep.leakage))
-            ok = ok and rep.passed
-        random_obj = {
-            "trials": args.random_trials,
-            "seed": args.seed,
-            "max_deviation": worst_dev,
-            "max_leakage": worst_leak,
-        }
-
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "N": args.N,
-        "elements": _fields(table, "a1_upper a2_upper a2_diag"),
-        "max_closed_form_deviation": table.max_closed_form_deviation,
-        "exact_closed_forms": table.exact_closed_forms,
-        "shifted_diagonal": _fields(table.shifted, "exact max_deviation"),
-        "equivalence": equivalence_obj,
-        "random_equivalence": random_obj,
-    }
+        equivalence = quotient.equivalence_check(args.N, args.alpha, args.beta, _resolve_tau(args))
+    payload = {"schema": SCHEMA_VERSION, **table.to_dict(),
+               "equivalence": None if equivalence is None else equivalence.to_dict(),
+               "random_equivalence": trials.to_dict() if trials.trials else None}
     _write([_render_json(payload) + "\n"], args)
-    return 0 if ok else 2
+    passed = table.passed and table.shifted.passed and (equivalence is None or equivalence.passed)
+    return 0 if passed and trials.passed else 2
 
 
 def cmd_appendix(args: argparse.Namespace) -> int:
     report = revival.appendix_phase_check(args.N, args.alpha, args.beta, p=args.p, q=args.q)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "params": _fields(report.certificate, PARAMS_FIELDS),
-        "certificate": _fields(report.certificate, CERTIFICATE_FIELDS),
-        "appendix": _fields(report, "tau delta phi_prime sign winding_max_dev step_phase_max_dev "
-                                    "delta_dev assembled_max_dev phi_consistency_dev max_identity_dev"),
-    }
-    _write([_render_json(payload) + "\n"], args)
+    _write([_render_json({"schema": SCHEMA_VERSION, **report.to_dict()}) + "\n"], args)
     return 0 if report.passed else 2
 
 

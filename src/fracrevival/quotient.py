@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import comb, pi
 
 import numpy as np
 
@@ -154,6 +155,12 @@ class QuotientTable:
             for measured, closed in self._closed_form_pairs()
         )
 
+    def to_dict(self) -> dict:
+        """The quotient report's blocks before its equivalence checks."""
+        return {"N": self.N, "elements": {"a1_upper": self.a1_upper, "a2_upper": self.a2_upper, "a2_diag": self.a2_diag},
+                "max_closed_form_deviation": self.max_closed_form_deviation, "exact_closed_forms": self.exact_closed_forms,
+                "shifted_diagonal": {"exact": self.shifted.exact, "max_deviation": self.shifted.max_deviation}}
+
     def q1(self) -> np.ndarray:
         """Quotient of A_1: tridiagonal with the measured elements (equals 2J)."""
         return np.diag(self.a1_upper, -1) + np.diag(self.a1_upper, 1)
@@ -255,6 +262,9 @@ class EquivalenceReport:
         """
         return (self.max_deviation < 1e-10 or not self.resolved) and abs(self.leakage) < 1e-10
 
+    def to_dict(self) -> dict:
+        return {"tau": self.tau, "max_deviation": self.max_deviation, "leakage": self.leakage, "passed": self.passed}
+
 
 def equivalence_check(N: int, alpha: float, beta: float, tau: float) -> EquivalenceReport:
     """Certify that the corner-started walk projects onto the chain dynamics, as evolve --target both compares them."""
@@ -280,3 +290,42 @@ def compare_states(
     return EquivalenceReport(
         N=N, alpha=alpha, beta=beta, tau=tau, max_deviation=dev, leakage=graph_columns.leakage
     )
+
+
+@dataclass(frozen=True)
+class RandomEquivalence:
+    """equivalence_check at `trials` models and times drawn by default_rng(seed), run on first read.
+
+    alpha and beta are uniform in [-2, 2) (alpha = 1 when both lie within 1e-3 of 0), then tau in
+    [0, 2 pi).  A negative trials, then a negative seed, is refused on construction, before any trial.
+    """
+
+    N: int
+    trials: int
+    seed: int
+
+    def __post_init__(self):
+        if self.trials < 0:
+            raise InvalidInputError(f"random trials must be non-negative, got {self.trials}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be non-negative, got {self.seed}")
+
+    @cached_property
+    def reports(self) -> tuple[EquivalenceReport, ...]:
+        rng = np.random.default_rng(self.seed)
+        reports = []
+        for _ in range(self.trials):
+            alpha, beta = float(rng.uniform(-2.0, 2.0)), float(rng.uniform(-2.0, 2.0))
+            alpha = 1.0 if abs(alpha) < 1e-3 and abs(beta) < 1e-3 else alpha
+            reports.append(equivalence_check(self.N, alpha, beta, float(rng.uniform(0.0, 2.0 * pi))))
+        return tuple(reports)
+
+    @property
+    def passed(self) -> bool:
+        return all(report.passed for report in self.reports)
+
+    def to_dict(self) -> dict:
+        """The largest deviation and |leakage| over the trials, 0.0 for none."""
+        return {"trials": self.trials, "seed": self.seed,
+                "max_deviation": max([0.0] + [report.max_deviation for report in self.reports]),
+                "max_leakage": max([0.0] + [abs(report.leakage) for report in self.reports])}

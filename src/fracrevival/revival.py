@@ -41,7 +41,7 @@ that size.  Above that no 2^M state is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from math import copysign, gcd, inf, isfinite, isnan, isqrt, pi
@@ -77,6 +77,17 @@ class RevivalCertificate:
     tau_fr: float | None = None
     tau_pst: float | None = None
     reason: str = ""
+
+    def time(self, which: str) -> float:
+        """tau_fr for which = "fr", else tau_pst; refused when the certificate has no such time."""
+        if (tau := self.tau_fr if which == "fr" else self.tau_pst) is None:
+            raise InvalidInputError(f"no {which.upper()} time exists for these parameters")
+        return tau
+
+    def to_dict(self) -> dict:
+        """The params and certificate blocks of the verify and appendix reports."""
+        return {"params": {"N": self.N, "alpha": self.alpha, "beta": self.beta, "p": self.p, "q": self.q},
+                "certificate": {"kind": self.kind, "tau_fr": self.tau_fr, "tau_pst": self.tau_pst, "reason": self.reason}}
 
 
 def _rationalize(alpha: float, beta: float, p: int | None, q: int | None):
@@ -388,6 +399,14 @@ class CertifyReport:
     scan: ScanOutcome | None = None              # the refuting sweep, kind none only
     appendix: AppendixReport | None = None      # the identity on this certificate, balanced FR only
 
+    def to_dict(self) -> dict:
+        """The verify report: the certificate's blocks, the amplitudes, the identity's summary and every scan field."""
+        app, scan = self.appendix, self.scan
+        return {**self.certificate.to_dict(), "numeric": {"mu": self.mu, "nu": self.nu, "leakage": self.leakage},
+                "appendix": None if app is None else {"delta": app.delta, "phi_prime": app.phi_prime, "sign": app.sign,
+                                                      "max_identity_dev": app.max_identity_dev},
+                "scan": None if scan is None else {f.name: getattr(scan, f.name) for f in fields(scan)}}
+
 
 def certify_numeric(
     N: int, alpha: float, beta: float, p: int | None = None, q: int | None = None
@@ -523,6 +542,14 @@ class AppendixReport:
         """|e^{-i phi'} -+ e^{-i phi}|, the smaller branch."""
         rotation = np.exp(-1j * _phases(self.N, self.alpha, self.beta, self.tau)[2])
         return float(min(abs(self.factor - rotation), abs(self.factor + rotation)))
+
+    def to_dict(self) -> dict:
+        """The appendix report: the certificate's blocks, then each phase and deviation."""
+        return {**self.certificate.to_dict(), "appendix": {
+            "tau": self.tau, "delta": self.delta, "phi_prime": self.phi_prime, "sign": self.sign,
+            "winding_max_dev": self.winding_max_dev, "step_phase_max_dev": self.step_phase_max_dev,
+            "delta_dev": self.delta_dev, "assembled_max_dev": self.assembled_max_dev,
+            "phi_consistency_dev": self.phi_consistency_dev, "max_identity_dev": self.max_identity_dev}}
 
 
 def appendix_phase_check(

@@ -127,8 +127,10 @@ def resolves(reach: float, tau: float, tolerance: float) -> bool:
     Two phases so move apart by up to 2 (eps + eps/2) |tau| R.  A gate at or
     below that cannot tell a deviation from rounding, so a report that
     cannot resolve it says so instead of failing on it.  tau is taken as
-    the gate's exact time; the rounding of exp and of the gate's own
-    arithmetic, a few eps with no factor tau, lies far below every gate.
+    the gate's exact time.  Left out is a floor with no factor tau, about
+    2(M + 1) eps from the fixed-order sum and the exp: 400 cases (M <= 60,
+    tau up to 1e9) held 3 eps |tau| R + 2(M + 1) eps against a 60-digit sum of
+    the same float model, with a largest ratio of 0.092.  No gate lies near 1e-16.
     """
     return 3 * EPS * abs(tau) * reach < tolerance
 

@@ -428,6 +428,9 @@ def test_scan_and_library_share_tau_grid_refusals(capsys, monkeypatch, tau_max, 
     # a model at a non-finite time: the chain refuses the time
     (["evolve", "--N", "4", "--alpha", "1", "--beta", "0", "--tau", "inf", "--target", "chain"],
      "tau must be finite"),
+    # p = 2^1024 - 1 is no float: the ratio is refused before p / q is formed
+    (["verify", "--N", "3", "--alpha", "1e308", "--beta", "1", "--p", str(2 ** 1024 - 1), "--q", "1"],
+     f"p/q = {2 ** 1024 - 1}/1 contradicts alpha/beta = 1e+308"),
 ])
 def test_ratio_inputs_exit_one_with_one_line(capsys, argv, message):
     code, out, err = run_without_warnings(capsys, argv)
@@ -701,6 +704,14 @@ def test_agreeing_ratio_is_checked_once_and_keeps_the_bytes(capsys, monkeypatch,
     assert calls.count((3, 2)) == 1
 
 
+def test_a_negative_explicit_q_gives_the_bytes_of_its_sign_on_p(capsys):
+    model = ["verify", "--N", "3", "--alpha", "3", "--beta", "-2"]
+    moved = run(capsys, model + ["--p", "-3", "--q", "2"])
+    assert run(capsys, model + ["--p", "3", "--q", "-2"]) == moved
+    assert moved[0] == 0
+    assert json.loads(moved[1])["params"] == {"N": 3, "alpha": 3.0, "beta": -2.0, "p": -3, "q": 2}
+
+
 def test_appendix_refusal_is_input_error(capsys):
     code, _, err = run(capsys, ["appendix", "--N", "5", "--alpha", "2", "--beta", "2"])
     assert code == 1
@@ -913,8 +924,36 @@ def test_strings_and_keys_are_quoted_as_json_dumps_quotes_them(text):
     assert cli._render_json({text: text}) == json.dumps({text: text}, indent=2)
 
 
-def test_the_scan_block_lists_every_scan_field_in_order():
-    assert cli.SCAN_FIELDS.split() == [field.name for field in dataclasses.fields(revival.ScanOutcome)]
+@pytest.mark.parametrize("argv", [
+    ["verify", "--N", "4", "--alpha", "2", "--beta", "2"],           # balanced FR: an appendix block
+    ["verify", "--N", "4", "--alpha", "2", "--beta", "1"],           # PST only
+    ["verify", "--N", "5", "--alpha", "2", "--beta", "2"],           # a refusal: a scan block
+    ["appendix", "--N", "4", "--alpha", "2", "--beta", "2"],
+    ["quotient", "--N", "5", "--alpha", "1.5", "--beta", "0.5", "--tau", "1.1", "--random-trials", "2"],
+], ids=["verify-fr", "verify-pst", "verify-refusal", "appendix", "quotient"])
+def test_each_command_prints_the_keys_of_its_reports_to_dict_in_order(capsys, argv):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    args = cli.build_parser().parse_args(argv)
+    if args.command == "verify":
+        blocks = certify(argv).to_dict()
+    elif args.command == "appendix":
+        blocks = revival.appendix_phase_check(args.N, args.alpha, args.beta).to_dict()
+    else:
+        blocks = {
+            **quotient.quotient_matrix_elements(args.N).to_dict(),
+            "equivalence": quotient.equivalence_check(args.N, args.alpha, args.beta, args.tau).to_dict(),
+            "random_equivalence": quotient.RandomEquivalence(args.N, args.random_trials, args.seed).to_dict(),
+        }
+    printed = json.loads(out)
+    assert list(printed) == ["schema", *blocks]
+    for key, block in blocks.items():
+        if isinstance(block, dict):
+            assert list(printed[key]) == list(block)
+        elif block is None:
+            assert printed[key] is None
+    if printed.get("scan") is not None:
+        assert list(printed["scan"]) == [field.name for field in dataclasses.fields(revival.ScanOutcome)]
 
 
 def test_float_serialization_is_17_digits(capsys):

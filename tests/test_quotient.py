@@ -268,3 +268,60 @@ def test_equivalence_check_matches_the_projected_fwht_evolution(N, alpha, beta, 
     assert abs(report.max_deviation - oracle_report.max_deviation) < 1e-12
     assert abs(report.leakage - oracle_report.leakage) < 1e-12
     assert np.abs(quotient.column_state(walk.column_amplitudes(spec, tau)).coords - projected.coords).max() < 1e-12
+
+
+@pytest.mark.parametrize("trials, seed, message", [
+    (-1, -1, "random trials must be non-negative, got -1"),
+    (0, -1, "seed must be non-negative, got -1"),
+])
+def test_random_equivalence_refuses_trials_then_seed_on_construction(trials, seed, message):
+    with pytest.raises(InvalidInputError, match=message):
+        quotient.RandomEquivalence(5, trials, seed)
+
+
+def test_random_equivalence_runs_its_trials_on_first_read_and_once(monkeypatch):
+    calls = []
+    real = quotient.equivalence_check
+    monkeypatch.setattr(quotient, "equivalence_check", lambda *args: calls.append(args) or real(*args))
+    trials = quotient.RandomEquivalence(5, 3, 7)
+    assert calls == []
+    assert trials.passed
+    assert len(calls) == 3
+    block = trials.to_dict()
+    assert len(calls) == 3
+    assert block == {
+        "trials": 3, "seed": 7,
+        "max_deviation": max(r.max_deviation for r in trials.reports),
+        "max_leakage": max(abs(r.leakage) for r in trials.reports),
+    }
+    assert quotient.RandomEquivalence(5, 0, 7).to_dict()["max_deviation"] == 0.0
+
+
+def test_random_equivalence_fails_when_one_trial_fails(monkeypatch):
+    real = quotient.equivalence_check
+    calls = []
+
+    def second_leaks(*args):
+        report = real(*args)
+        calls.append(report)
+        return dataclasses.replace(report, leakage=1e-9) if len(calls) == 2 else report
+
+    monkeypatch.setattr(quotient, "equivalence_check", second_leaks)
+    trials = quotient.RandomEquivalence(5, 3, 0)
+    assert not trials.passed
+    assert [report.passed for report in trials.reports] == [True, False, True]
+    assert trials.to_dict()["max_leakage"] == 1e-9
+
+
+@pytest.mark.parametrize("exact, max_deviation", [(False, 0.0), (True, 1e-11)])
+def test_the_shifted_diagonal_gate_needs_both_halves(exact, max_deviation):
+    assert not quotient.ShiftedDiagonalReport(N=4, exact=exact, max_deviation=max_deviation).passed
+    assert quotient.ShiftedDiagonalReport(N=4, exact=True, max_deviation=0.0).passed
+
+
+@pytest.mark.parametrize("max_deviation, leakage", [(1e-9, 0.0), (0.0, 1e-9), (0.0, -1e-9)])
+def test_the_equivalence_gate_needs_both_halves(max_deviation, leakage):
+    report = quotient.EquivalenceReport(N=4, alpha=1.0, beta=1.0, tau=1.3, max_deviation=max_deviation, leakage=leakage)
+    assert report.resolved
+    assert not report.passed
+    assert dataclasses.replace(report, max_deviation=0.0, leakage=0.0).passed

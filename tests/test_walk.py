@@ -370,3 +370,11 @@ def test_antipodal_scan_rows_depend_on_their_own_time_alone(M, alpha, beta, tau_
     classes = data.draw(st.lists(st.integers(0, M), min_size=1, max_size=M + 1, unique=True))
     assert bits(walk.column_amplitudes(spec, taus[idx[::-1]], classes)) == bits(psi[np.ix_(idx[::-1], classes)])
     assert bits(walk.column_amplitudes(spec, float(taus[k]))) == bits(psi[k])
+
+
+@pytest.mark.parametrize("tau", [1e6, -1e6])
+def test_a_gate_above_three_eps_tau_reach_resolves(tau):
+    # walk.resolves' account is 3 eps |tau| R; a gate at 3.5 eps |tau| R lies above it, one at 2.5 below
+    reach = walk.WalkSpec(M=3, alpha=1.0, beta=1.0).reach
+    assert walk.resolves(reach, tau, 3.5 * walk.EPS * abs(tau) * reach)
+    assert not walk.resolves(reach, tau, 2.5 * walk.EPS * abs(tau) * reach)
