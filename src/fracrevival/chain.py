@@ -6,10 +6,9 @@ Krawtchouk polynomials; the one-excitation Hamiltonian is the pentadiagonal
 operator with nearest couplings beta*J_n, next-to-nearest couplings
 alpha*J_n*J_{n+1} and on-site terms alpha*(J_n^2 + J_{n-1}^2), which factors
 exactly as alpha*J^2 + beta*J: on the column space, the walk's Hamiltonian
-plus c = (alpha/4)(N-1), formed here alone.  Evolution diagonalizes H - cI in
-full, in the walk's spectrum, and restores c as one phase (graph_phase); N
-stays at desk scale, so exactness beats scalability.
-"""
+plus c = (alpha/4)(N-1), formed here alone.  J's exact spectrum (N-1)/2 - s
+(quant-ph/0309131) lets evolution take J's eigenvectors from its own recurrence, the phases
+from the walk's spectrum and c as one phase (graph_phase): no eigh and no BLAS, at O(N^2)."""
 
 from __future__ import annotations
 
@@ -18,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, check_elements, eigenphases, require_length, require_model, require_unit_norm
+from .walk import WalkSpec
 
 
 @dataclass(frozen=True)
@@ -35,19 +35,21 @@ class ChainSpec:
         require_model(self.N, self.alpha, self.beta)
 
 
-def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """The dense N x N pentadiagonal Hamiltonian, which equals alpha*J^2 + beta*J.
+def _couplings(N: int) -> np.ndarray:
+    """The hopping amplitudes J_n = sqrt(n(N-n))/2, n = 1..N-1: what the chain reads of its model besides alpha and beta."""
+    n = np.arange(1, N)
+    return 0.5 * np.sqrt(n * (N - n))
 
-    J_0 = J_N = 0 make the on-site formula total.  The factorization is an
-    exact identity (in floats, up to a few ulp of the largest entry); the
-    tests check it against oracle.hopping_matrix.  Refused within the size
-    guard, and when an entry overflows a float: max|E| is at least the largest
-    |entry| of a symmetric matrix, and eigh cannot take an inf.
+
+def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """The dense N x N pentadiagonal Hamiltonian alpha*J^2 + beta*J: with eigh, the tests' reference, which no command calls.
+
+    J_0 = J_N = 0 make the on-site formula total; the factorization is exact up to a few ulp of the
+    largest entry (checked against oracle.hopping_matrix).  Refused within the size guard, and when an entry overflows.
     """
     N, alpha, beta = spec.N, spec.alpha, spec.beta
     check_elements(N * N, "the chain Hamiltonian")
-    n = np.arange(1, N)
-    J = 0.5 * np.sqrt(n * (N - n))
+    J = _couplings(N)
     Jpad = np.concatenate(([0.0], J, [0.0]))  # J_0 .. J_N
     with np.errstate(over="ignore"):
         h = np.diag(alpha * (Jpad[1:N + 1] ** 2 + Jpad[0:N] ** 2))
@@ -58,6 +60,30 @@ def build_hamiltonian(spec: ChainSpec) -> np.ndarray:
     if not np.isfinite(h).all():
         raise InvalidInputError("the spectrum overflows a float")
     return h
+
+
+def _eigenbasis(N: int) -> np.ndarray:
+    """J's unit eigenvectors: column s for the eigenvalue (N-1)/2 - s, row n-1 for site n.
+
+    The recurrence J_n v_{n+1} = lambda v_n - J_{n-1} v_{n-1} from v_1 = 1 runs
+    to the middle, where every vector grows or oscillates, so rounding does
+    not grow; J commutes with the reversal of the sites, so the rest is the
+    mirror image times (-1)^s, and at odd N an odd s is exactly 0 at the middle.
+    A vector grows by 1/|v_s(1)| = sqrt(2^(N-1)/C(N-1, s)) at most, so above N = 513 a column
+    past 2^256 is scaled by 2^-256, exactly, and the norm, summed over the sites in order, is finite.
+    """
+    J = _couplings(N)
+    lam = (N - 1) / 2.0 - np.arange(N)
+    v = np.empty((N, N))
+    v[0] = 1.0
+    for i in range(1, (N + 1) // 2):  # row i holds site i + 1
+        v[i] = (lam * v[i - 1] - (J[i - 2] * v[i - 2] if i > 1 else 0.0)) / J[i - 1]
+        if N > 513 and (big := np.abs(v[i]) > 2.0 ** 256).any():
+            v[:i + 1, big] *= 2.0 ** -256
+    v[N // 2, 1::2] = 0.0  # the middle site at odd N; at even N the mirror overwrites the row
+    np.multiply(v[N // 2 - 1::-1], (-1.0) ** np.arange(N), out=v[(N + 1) // 2:])
+    v /= np.sqrt(sum(row * row for row in v))
+    return v
 
 
 def site_state(N: int, site: int) -> np.ndarray:
@@ -71,22 +97,26 @@ def site_state(N: int, site: int) -> np.ndarray:
 
 
 def chain_evolve(spec: ChainSpec, psi0: np.ndarray, tau: float) -> np.ndarray:
-    """Evolve a one-excitation state: returns exp(-i tau H) psi0.
+    """Evolve a one-excitation state: returns exp(-i tau H) psi0, V (phases * V^T psi0) summed in order (no BLAS).
 
-    The dense eigendecomposition of H - cI (N x N, held by the size guard),
-    whose eigenvalues are the walk's E_s, so that phases and rounding stay
-    within the walk's max|E|, times exp(-i tau c) = conj(graph_phase).  The input must
-    be unit norm (no silent renormalization), checked after the eigenphase
-    refusals and then graph_phase's.
+    H - cI has the walk's E_s on J's eigenvector of (N-1)/2 - s (_eigenbasis), so the phases are
+    errors.eigenphases of WalkSpec.energies, with the walk's refusals and reach, times
+    exp(-i tau c) = conj(graph_phase).  The N x N basis is held by the size guard; the input
+    must be unit norm (no silent renormalization), checked after the phases' refusals.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     require_length(psi0, spec.N)
-    h = build_hamiltonian(spec)
-    h[np.diag_indices(spec.N)] -= _on_site(spec.N, spec.alpha)
-    w, v = np.linalg.eigh(h)
-    phases = eigenphases(tau, w) * np.conj(graph_phase(spec.N, spec.alpha, tau))
+    check_elements(spec.N * spec.N, "the chain Hamiltonian")
+    phases = eigenphases(tau, WalkSpec(spec.N - 1, spec.alpha, spec.beta).energies) * np.conj(graph_phase(spec.N, spec.alpha, tau))
     require_unit_norm(psi0)
-    return v @ (phases * (v.T @ psi0))
+    v = _eigenbasis(spec.N)
+    return _in_order(v, phases * _in_order(v.T, psi0))
+
+
+def _in_order(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """rows @ x, each sum taken left to right (a cumulative sum, 2^20 products alive at a time), with no BLAS."""
+    block = max(1, (1 << 20) // len(x))
+    return np.concatenate([np.cumsum(rows[lo:lo + block] * x, axis=1)[:, -1].copy() for lo in range(0, len(rows), block)])
 
 
 def _on_site(N: int, alpha: float) -> float:

@@ -76,12 +76,12 @@ def column_state(psi_w: np.ndarray) -> ColumnState:
     """project of the state holding psi_w[w] on every weight-w vertex, without that 2^M state.
 
     c_w = sqrt(C(M, w)) psi_w, and the leakage is still the squared norm
-    outside the span, sum_w C(M, w) |psi_w|^2 - sum |c_w|^2.
+    outside the span, sum_w C(M, w) |psi_w|^2 - sum |c_w|^2, each sum left to right (no BLAS).
     """
     psi_w = np.asarray(psi_w, dtype=complex)
     sizes = ColumnBasis(len(psi_w)).sizes
     coords = np.sqrt(sizes) * psi_w
-    leakage = float(sizes @ np.abs(psi_w) ** 2 - np.sum(np.abs(coords) ** 2))
+    leakage = float(np.cumsum(sizes * np.abs(psi_w) ** 2)[-1] - np.cumsum(np.abs(coords) ** 2)[-1])
     return ColumnState(coords=coords, leakage=leakage)
 
 

@@ -24,7 +24,7 @@ the balanced-FR revival at tau_fr does (AppendixReport.exact).  An entry
 (x, y) of either side depends on the weight of x xor y alone (H is a
 Cayley graph on Z_2^M), so the entrywise check reads the M + 1 weight
 classes of column 0 from the site-1 chain, the walk's distance quotient,
-diagonalized in the walk's spectrum (chain.chain_evolve).
+evolved on its own recurrence eigenvectors in the walk's spectrum (chain.chain_evolve).
 
 The float checks are cross-checks.  Where 3 eps |tau| max|E| reaches a gate
 (walk.resolves), rounding alone can move a value that far, so the report
@@ -565,8 +565,8 @@ def appendix_phase_check(
     and the assembled per-eigenvalue identity holds with one fixed sign and
     phase.  For M <= 8 the matrix identity is also checked entrywise, with
     the largest deviation over all 4^M entries read exactly from the M + 1
-    weight classes of column 0 (_chain_identity_dev): one eigendecomposition
-    of the N x N chain Hamiltonian, independent of kraw.graph_eigenvalues.
+    weight classes of column 0 (_chain_identity_dev): the site-1 chain, on eigenvectors
+    from its own couplings (independent of kraw.column_weights) with the walk's eigenphases.
     The float checks gate at 1e-10 where the float resolves that at tau.
     """
     cert = check_conditions(N, alpha, beta, p=p, q=q)

@@ -113,7 +113,7 @@ def phase_table(spec: WalkSpec, tau) -> np.ndarray:
 def resolves(reach: float, tau: float, tolerance: float) -> bool:
     """Whether a float gate of this tolerance at time tau lies above 3 eps |tau| R, the most rounding can move it.
 
-    R is the reach max|E| (WalkSpec.reach), the chain's too (chain.chain_evolve).
+    R is the reach max|E| (WalkSpec.reach); chain.chain_evolve takes the same phases, so it covers both engines.
     A gate weighs computed phases tau E_s against one another: the appendix
     identity sets each against that of s = 0, and an amplitude sums them.
     With eps = 2^-52 and R = max|E|, each phase carries two roundings:
@@ -128,9 +128,9 @@ def resolves(reach: float, tau: float, tolerance: float) -> bool:
     below that cannot tell a deviation from rounding, so a report that
     cannot resolve it says so instead of failing on it.  tau is taken as
     the gate's exact time.  Left out is a floor with no factor tau, about
-    2(M + 1) eps from the fixed-order sum and the exp: 400 cases (M <= 60,
-    tau up to 1e9) held 3 eps |tau| R + 2(M + 1) eps against a 60-digit sum of
-    the same float model, with a largest ratio of 0.092.  No gate lies near 1e-16.
+    2(M + 1) eps from the fixed-order sum and the exp: the tests hold rows 0
+    and M of column_amplitudes within 3 eps |tau| R + 2(M + 1) eps of an exact
+    integer evaluation of the same float model.  No gate lies near 1e-16.
     """
     return 3 * EPS * abs(tau) * reach < tolerance
 

@@ -6,13 +6,8 @@ rewrites tests/golden/corpus.txt, one "<sha256>  <argv>" line per command
 line, the argv quoted as shlex.join quotes it.  tests/test_golden.py runs
 every line in-process through cli.main and compares the digests.  A change
 that moves bytes commits the regenerated file and lists the moved command
-lines.
-
-The corpus holds only outputs that do not depend on the BLAS or LAPACK
-kernel: no chain rows (evolve --target chain or both), no quotient --tau or
-random trials that run, and no balanced-FR verify or appendix at M <= 8,
-whose max_identity_dev reads the chain's eigh.  Refusals of those commands
-(exit 1) are kept: they are decided before any chain is evolved.
+lines.  No output depends on the BLAS or LAPACK kernel, chain rows included,
+so CI runs the corpus again under OPENBLAS_CORETYPE=Prescott.
 """
 
 from __future__ import annotations
@@ -25,8 +20,7 @@ import shlex
 import sys
 from pathlib import Path
 
-from fracrevival import cli, revival
-from fracrevival.errors import InvalidInputError
+from fracrevival import cli
 
 CORPUS = Path(__file__).resolve().with_name("corpus.txt")
 
@@ -70,30 +64,21 @@ REFUSALS = [
 ]
 
 
-def _balanced_fr_at_small_m(N: int, alpha: str, beta: str) -> bool:
-    """Whether a verify or appendix line would print a max_identity_dev from the chain's eigh."""
-    if N - 1 > 8:
-        return False
-    try:
-        return revival.check_conditions(N, float(alpha), float(beta)).kind == revival.BALANCED_FR
-    except InvalidInputError:
-        return False
-
-
 def argvs() -> list[list[str]]:
     """The corpus's command lines, in a fixed order."""
     lines = []
     for N in SIZES:
         for alpha, beta in COUPLINGS:
             model = ["--N", str(N), "--alpha", alpha, "--beta", beta]
-            if not _balanced_fr_at_small_m(N, alpha, beta):
-                lines += [["verify", *model], ["appendix", *model]]
+            lines += [["verify", *model], ["appendix", *model]]
             lines.append(["scan", *model, "--steps", "40"])
             lines.append(["quotient", *model])
+            lines += [["quotient", *model, "--tau", tau, "--random-trials", "2"] for tau in ("1.3", "fr")]
             if N <= 30:
                 for tau in ("1.3", "fr", "pst"):
-                    lines.append(["evolve", *model, "--tau", tau])
-                    lines.append(["evolve", *model, "--tau", tau, "--json"])
+                    for target in ([], ["--target", "chain"], ["--target", "both"]):
+                        lines.append(["evolve", *model, "--tau", tau, *target])
+                        lines.append(["evolve", *model, "--tau", tau, *target, "--json"])
         lines.append(["scan", "--N", str(N), "--alpha", "2", "--beta", "2", "--tau-max", "3", "--steps", "25"])
     lines += [shlex.split(line) for line in REFUSALS]
     return lines

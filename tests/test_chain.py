@@ -1,15 +1,21 @@
-"""Chain couplings, read as the bands of the dense Hamiltonian, and one-excitation evolution."""
+"""Chain couplings, read as the bands of the dense Hamiltonian, the recurrence eigenbasis, and one-excitation evolution."""
 
-from math import pi, sqrt
+from math import comb, pi, sqrt
+from pathlib import Path
 
+import ast
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracrevival import chain, oracle
+from fracrevival import chain, oracle, walk
 from fracrevival.errors import InvalidInputError, ResourceLimitError
+
+EPS = walk.EPS
 
 
 def _hamiltonian(N, alpha, beta):
@@ -186,3 +192,107 @@ def test_site_state_bounds():
         chain.site_state(4, 0)
     with pytest.raises(InvalidInputError):
         chain.site_state(4, 5)
+
+
+# J's eigenbasis from its three-term recurrence, against the dense J and LAPACK's eigh: the references
+# no command reads.  Bounds are multiples of N eps (of N eps max|lambda| for the residual at large N).
+
+
+def _eigenvalues(N):
+    return (N - 1) / 2.0 - np.arange(N)
+
+
+@pytest.mark.parametrize("N", range(2, 65))
+def test_recurrence_basis_diagonalizes_the_hopping_matrix(N):
+    v = chain._eigenbasis(N)
+    J = oracle.hopping_matrix(N)
+    assert np.abs(J @ v - v * _eigenvalues(N)).max() <= 2 * N * EPS
+    assert np.abs(v.T @ v - np.eye(N)).max() <= N * EPS
+    # eigh sorts ascending, so its column N - 1 - s holds lambda_s, up to a sign; its own
+    # rounding grows with max|lambda| = (N - 1)/2, and the gaps are 1
+    w, u = np.linalg.eigh(J)
+    np.testing.assert_allclose(w[::-1], _eigenvalues(N), rtol=0, atol=N * EPS * (N - 1) / 2)
+    assert np.abs(np.abs(v.T @ u[:, ::-1]) - np.eye(N)).max() <= N * EPS * (N - 1) / 2
+
+
+@pytest.mark.parametrize("N", [3, 5, 9, 33, 63, 1025])
+def test_odd_vectors_vanish_exactly_at_the_middle_of_an_odd_chain(N):
+    v = chain._eigenbasis(N)
+    assert (v[N // 2, 1::2] == 0.0).all()
+    assert (v[N // 2, 0::2] != 0.0).all()
+    # and each vector is its own mirror image times (-1)^s, bit for bit
+    assert (v[::-1] == v * (-1.0) ** np.arange(N)).all()
+
+
+@pytest.mark.parametrize("N", [2100, 4096])
+def test_recurrence_basis_stays_finite_and_orthonormal_past_the_rescale(N):
+    # a vector grows by up to 2^((N-1)/2), so these columns were scaled by 2^-256 several times
+    v = chain._eigenbasis(N)
+    assert np.isfinite(v).all()
+    columns = np.r_[0:4, N // 4, N // 2 - 1, N // 2, 3 * N // 4, N - 4:N]
+    picked = v[:, columns]
+    assert np.abs(picked.T @ v - np.eye(N)[columns]).max() <= N * EPS
+    J = np.concatenate(([0.0], 0.5 * np.sqrt(np.arange(1, N) * (N - np.arange(1, N))), [0.0]))
+    padded = np.pad(picked, ((1, 1), (0, 0)))
+    applied = J[:-1, None] * padded[:-2] + J[1:, None] * padded[2:]  # (J v)_n = J_{n-1} v_{n-1} + J_n v_{n+1}
+    assert np.abs(applied - picked * _eigenvalues(N)[columns]).max() <= N * EPS * (N - 1) / 2
+    # the first site carries sqrt(C(N-1, s)/2^(N-1)), the corner's weight on eigenspace s
+    for s in columns:
+        weight = comb(N - 1, int(s)) / 2 ** (N - 1)
+        if weight > 1e-300:
+            assert abs(v[0, s] ** 2 / weight - 1) <= N * EPS
+        else:
+            assert v[0, s] ** 2 <= 1e-300
+
+
+@settings(max_examples=300, deadline=None)
+@given(N=st.integers(2, 64), alpha=st.floats(-3, 3), beta=st.floats(-3, 3), tau=st.floats(-20, 20),
+       site=st.integers(1, 64))
+def test_evolution_matches_the_eigendecomposition_of_the_dense_hamiltonian(N, alpha, beta, tau, site):
+    if alpha == 0.0 and beta == 0.0:
+        alpha = 1.0
+    spec = chain.ChainSpec(N, alpha, beta)
+    psi = chain.site_state(N, min(site, N))
+    w, u = np.linalg.eigh(chain.build_hamiltonian(spec))
+    reference = u @ (np.exp(-1j * tau * w) * (u.T @ psi))
+    # the rounding of each side's phases tau E (walk.resolves), and N eps of the sums
+    bound = 2 * (3 * EPS * abs(tau) * np.abs(w).max() + N * EPS)
+    assert np.abs(chain.chain_evolve(spec, psi, tau) - reference).max() <= bound
+
+
+def test_evolution_runs_no_eigendecomposition_and_builds_no_hamiltonian(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense diagonalization on the chain path")
+
+    expected = chain.chain_evolve(chain.ChainSpec(7, 0.8, -1.2), chain.site_state(7, 3), 1.7)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(chain, "build_hamiltonian", refuse)
+    monkeypatch.setattr(np, "dot", refuse)
+    out = chain.chain_evolve(chain.ChainSpec(7, 0.8, -1.2), chain.site_state(7, 3), 1.7)
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_evolution_reads_the_walks_spectrum(monkeypatch):
+    # the phases come from WalkSpec.energies: a shifted spectrum moves the chain by the same phase
+    psi = chain.site_state(6, 1)
+    spec = chain.ChainSpec(6, 0.7, 1.3)
+    before = chain.chain_evolve(spec, psi, 0.9)
+    real = walk.kraw.graph_eigenvalues
+    monkeypatch.setattr(walk.kraw, "graph_eigenvalues", lambda s: real(s) + 0.5)
+    after = chain.chain_evolve(spec, psi, 0.9)
+    np.testing.assert_allclose(after, np.exp(-0.45j) * before, rtol=0, atol=1e-14)
+
+
+def test_no_command_module_calls_eigh_and_the_chain_path_multiplies_no_matrices():
+    source = Path(chain.__file__).resolve().parent
+    users = sorted(path.name for path in source.glob("*.py") if "linalg.eigh" in path.read_text())
+    assert users == ["oracle.py"]
+    tree = ast.parse(Path(chain.__file__).read_text())
+    path = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+            and node.name in ("chain_evolve", "_eigenbasis", "_in_order", "_couplings")]
+    assert len(path) == 4
+    for function in path:
+        nodes = list(ast.walk(function))
+        assert not any(isinstance(node, ast.MatMult) for node in nodes), function.name
+        assert not any(isinstance(node, ast.Attribute) and node.attr in ("dot", "eigh", "matmul") for node in nodes)
+        assert not any(isinstance(node, ast.Name) and node.id == "build_hamiltonian" for node in nodes)

@@ -766,17 +766,19 @@ def start_cli(argv, stdout=subprocess.PIPE):
                             stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
-# a refusal (the 10^4-point scan), a PST, an FR above the entrywise identity (M > 8; at
-# M <= 8 the chain's LAPACK eigh decides max_identity_dev) and a scan: mu and nu come from
-# the fixed-order sum
+# a refusal (the 10^4-point scan), a PST, an FR above the entrywise identity (M > 8) and one
+# at M = 8, which reads the chain, and a scan: mu and nu come from the fixed-order sum; the
+# chain rows, the graph-chain deviations and leakages from the chain's recurrence eigenbasis
 BLAS_KERNEL_PROBES = [
     ["verify", "--N", "9", "--alpha", "0.6", "--beta", "1"],
     ["verify", "--N", "17", "--alpha", "1.3333333333333333", "--beta", "2", "--p", "2", "--q", "3"],
     ["verify", "--N", "15", "--alpha", "1.7", "--beta", "0"],
     ["verify", "--N", "16", "--alpha", "-1.4", "--beta", "1.4"],
+    ["appendix", "--N", "9", "--alpha", "0.6", "--beta", "0.4"],
     ["scan", "--N", "12", "--alpha", "0.83", "--beta", "-1.21", "--steps", "500"],
-    # graph rows only: chain rows still come from LAPACK eigh
-    *(["evolve", "--N", str(N), "--alpha", "0.83", "--beta", "-1.21", "--tau", "1.7"] for N in (9, 12, 15)),
+    *(["evolve", "--N", str(N), "--alpha", "0.83", "--beta", "-1.21", "--tau", "1.7", "--target", "both"]
+      for N in (9, 12, 15)),
+    ["quotient", "--N", "9", "--alpha", "0.83", "--beta", "-1.21", "--tau", "1.3", "--random-trials", "2"],
 ]
 
 
@@ -1447,17 +1449,17 @@ def test_verify_fails_when_the_fwht_engine_disagrees(capsys, monkeypatch, argv):
 
 
 def _shift_chain(monkeypatch, symmetric):
-    """Add 1e-6 to the chain Hamiltonian's [0, 0], and with symmetric also to its mirror [-1, -1]."""
-    real = chain.build_hamiltonian
+    """Add 1e-6 to the chain's first coupling J_1, and with symmetric also to its mirror J_{N-1}: what the chain reads."""
+    real = chain._couplings
 
-    def shifted(spec):
-        h = real(spec)
-        h[0, 0] += 1e-6
+    def shifted(N):
+        J = real(N)
+        J[0] += 1e-6
         if symmetric:
-            h[-1, -1] += 1e-6
-        return h
+            J[-1] += 1e-6
+        return J
 
-    monkeypatch.setattr(chain, "build_hamiltonian", shifted)
+    monkeypatch.setattr(chain, "_couplings", shifted)
 
 
 def test_verify_fails_when_the_appendix_identity_fails(capsys, monkeypatch):

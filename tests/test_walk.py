@@ -1,11 +1,12 @@
 """Walsh-Hadamard engine versus the dense oracle, and antipodal readout."""
 
 import tracemalloc
-from math import pi, sqrt
+from fractions import Fraction
+from math import comb, pi, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracrevival import errors, oracle, scheme, walk
@@ -378,3 +379,86 @@ def test_a_gate_above_three_eps_tau_reach_resolves(tau):
     reach = walk.WalkSpec(M=3, alpha=1.0, beta=1.0).reach
     assert walk.resolves(reach, tau, 3.5 * walk.EPS * abs(tau) * reach)
     assert not walk.resolves(reach, tau, 2.5 * walk.EPS * abs(tau) * reach)
+
+
+# An exact reference for the corner and antipode amplitudes of the float model: the walk's
+# E_s = (alpha/2)(lambda^2 - M)/2 + (beta/2) lambda from the float alpha and beta as exact
+# fractions, tau E_s exact, reduced mod 2 pi with a Machin pi, and cos and sin by Taylor
+# series, all in integers scaled by 2^BITS (no mpmath, no float).
+BITS = 320
+
+
+def _atan_inverse(x, one):
+    """atan(1/x) * one for an integer x > 1, by its alternating series."""
+    total, power, j = 0, one // x, 0
+    while power:
+        total += (-1) ** j * (power // (2 * j + 1))
+        power //= x * x
+        j += 1
+    return total
+
+
+def _two_pi(bits):
+    """2 pi * 2^bits, from pi = 16 atan(1/5) - 4 atan(1/239) with 32 guard bits."""
+    one = 1 << (bits + 32)
+    return (2 * (16 * _atan_inverse(5, one) - 4 * _atan_inverse(239, one))) >> 32
+
+
+def _cos_sin(r, one):
+    """cos and sin of r / one for 0 <= r < 2 pi one, by their Taylor series."""
+    cos = sin = 0
+    term, n = one, 0
+    while term:
+        if n % 2:
+            sin += -term if n % 4 == 3 else term
+        else:
+            cos += -term if n % 4 == 2 else term
+        n += 1
+        term = term * r // (one * n)
+    return cos, sin
+
+
+def exact_corner_and_antipode(M, alpha, beta, tau):
+    """mu = 2^-M sum_s C(M, s) e^{-i tau E_s}, and nu with a factor (-1)^s, each part within about 2^-300."""
+    one, two_pi = 1 << BITS, _two_pi(BITS)
+    sums = [[0, 0], [0, 0]]  # real and imaginary parts of mu and nu, times one 2^M
+    for s in range(M + 1):
+        lam = M - 2 * s
+        x = Fraction(tau) * (Fraction(alpha) / 2 * Fraction(lam * lam - M, 2) + Fraction(beta) / 2 * lam)
+        cos, sin = _cos_sin((x.numerator << BITS) // x.denominator % two_pi, one)
+        for parts, sign in zip(sums, (1, (-1) ** s)):
+            parts[0] += sign * comb(M, s) * cos
+            parts[1] -= sign * comb(M, s) * sin
+    scale = one << M
+    return [complex(float(Fraction(re, scale)), float(Fraction(im, scale))) for re, im in sums]
+
+
+def test_the_exact_reference_knows_its_phases():
+    one = 1 << BITS
+    assert abs(Fraction(_two_pi(BITS), one) - Fraction(884279719003555, 140737488355328)) < Fraction(1, 10 ** 15)
+    # two sites, beta = 1, tau = pi (the float): E = +-1/2, and cos(pi/2) is the float pi's offset from pi
+    mu, nu = exact_corner_and_antipode(1, 0.0, 1.0, pi)
+    assert abs(mu - 6.123233995736766e-17) < 1e-30 and abs(nu + 1j) < 1e-30
+    # two sites, beta = 2: E = +-1, so mu = cos(tau) and nu = -i sin(tau)
+    for tau in (0.3, 2.5, 1e6):
+        mu, nu = exact_corner_and_antipode(1, 0.0, 2.0, tau)
+        assert abs(mu - np.cos(tau)) < 1e-15 * max(1.0, tau) and abs(nu + 1j * np.sin(tau)) < 1e-15 * max(1.0, tau)
+
+
+_coupling = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([1.0, -1.0]),
+                                              st.floats(-5, 8)))
+
+
+@settings(max_examples=200, deadline=None)
+@example(M=3, alpha=1.4e-4, beta=0.0, tau=2.9)  # tau max|E| tiny: the floor 2(M + 1) eps decides
+@example(M=30, alpha=1e8, beta=-1e8, tau=1e9)
+@given(M=st.integers(1, 30), alpha=_coupling, beta=_coupling, tau=st.floats(-1e9, 1e9))
+def test_corner_and_antipode_amplitudes_stay_within_the_rounding_account(M, alpha, beta, tau):
+    # walk.resolves' account, 3 eps |tau| max|E|, plus its floor 2(M + 1) eps from the sum and the exp;
+    # the chain evolves with the same eigenphases, so the account covers both engines' phases
+    assume(alpha != 0.0 or beta != 0.0)
+    spec = walk.WalkSpec(M, alpha, beta)
+    mu, nu = walk.column_amplitudes(spec, tau, (0, M))
+    exact_mu, exact_nu = exact_corner_and_antipode(M, alpha, beta, tau)
+    bound = 3 * walk.EPS * abs(tau) * spec.reach + 2 * (M + 1) * walk.EPS
+    assert abs(mu - exact_mu) <= bound and abs(nu - exact_nu) <= bound
