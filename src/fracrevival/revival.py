@@ -26,6 +26,13 @@ Cayley graph on Z_2^M), so the entrywise check reads the M + 1 weight
 classes of column 0 from the site-1 chain, the walk's distance quotient,
 evolved on its own recurrence eigenvectors in the walk's spectrum (chain.chain_evolve).
 
+A refusal sweeps one period of the spectrum, 10^4 steps (_scan), and
+evaluates exactly only the grid points a screen of the whole grid cannot
+rule out (_screen).  Where the ratio gives integers the window is a whole
+number of periods, and the revival sum, with real weights, is
+mirror-symmetric over it: rows k and steps - k agree within a derived eta,
+so the screen holds half the grid and reads the rest from mirrors.
+
 The float checks are cross-checks.  Where 3 eps |tau| max|E| reaches a gate
 (walk.resolves), rounding alone can move a value that far, so the report
 names the gate as one the float cannot resolve instead of failing on it;
@@ -174,17 +181,23 @@ def solve_revival(N: int, p: int, q: int) -> RevivalTimes:
     return RevivalTimes(G=G, a=4 * d[1] // G if G else 0)
 
 
+def _integers(cert: RevivalCertificate) -> tuple[int, int] | None:
+    """p, q with E_s - E_0 = u (p s(s - M) - q s): the certificate's ratio, 1, 0 at beta = 0, or None with no close rational."""
+    if cert.beta == 0.0:
+        return 1, 0
+    return None if cert.p is None else (cert.p, cert.q)
+
+
 def _confirms(cert: RevivalCertificate) -> bool | None:
-    """Whether solve_revival confirms the certificate's claims, or None when the ratio gives no integers.
+    """Whether solve_revival confirms the certificate's claims, or None when the ratio gives no integers (_integers).
 
     tau_fr = pi q/(2|beta|) is x = 1/4 and tau_pst x = 1/2 (pi/(2|alpha|) is
     x = 1/4 at beta = 0): balanced FR needs x = 1/4 to be a balanced-FR time,
     PST only x = 1/2 to be a PST time, and a refusal no balanced-FR time at all.
-    The integers are p, q with E_s - E_0 = u (p s(s - M) - q s), or 1, 0 at beta = 0.
     """
-    if cert.beta != 0.0 and cert.p is None:
+    if (integers := _integers(cert)) is None:
         return None
-    times = solve_revival(cert.N, *((1, 0) if cert.beta == 0.0 else (cert.p, cert.q)))
+    times = solve_revival(cert.N, *integers)
     if cert.kind == BALANCED_FR:
         return times.quarter_turns(1, 4) in (1, 3)
     if cert.kind == PST_ONLY:
@@ -267,27 +280,28 @@ def _probabilities(mus: np.ndarray, nus: np.ndarray):
     return corner, corner + (nus.real ** 2 + nus.imag ** 2)
 
 
-def _screen(spec: walk.WalkSpec, taus: np.ndarray):
-    """|mu|^2 and |mu|^2 + |nu|^2 on the whole grid from O(sqrt(steps)) eigenphase rows, and their error bound delta.
+def _screen(spec: walk.WalkSpec, taus: np.ndarray, integers: tuple[int, int] | None = None):
+    """|mu|^2 and |mu|^2 + |nu|^2 on the grid from O(sqrt(steps)) eigenphase rows, and their error bound.
 
     With B = ceil(sqrt(steps + 1)), every grid time tau_k is tau_c - tau_j up
     to rounding, for an anchor c = steps - aB and an offset j < B, so
-    e^{-i tau_k E} is about e^{-i tau_c E} conj(e^{-i tau_j E}).  The exp runs
-    on the ceil((steps + 1)/B) anchors and B offsets only, and one matrix
-    product (BLAS) forms the weighted sums.  The anchors start at tau_max, so
-    phase_table makes its refusals on the grid's largest time before any exp.
-    Both arrays keep the product's layout: entry (j, a) is grid row
-    steps - aB - j.  The rows it holds at and below 0 (tau = 0, swept but never
-    a hit, and times outside the grid) all lie in the last column, and their
-    total reads -inf, so no comparison admits them.
+    e^{-i tau_k E} is about e^{-i tau_c E} conj(e^{-i tau_j E}).  One exp runs
+    on the anchors and the B offsets together, and one matrix product (BLAS)
+    forms the weighted sums.  The anchors start at tau_max, so phase_table
+    makes its refusals on the grid's largest time before any exp.  Both
+    arrays keep the product's layout: entry (j, a) is grid row steps - aB - j.
+    The rows it holds at and below 0 (tau = 0, swept but never a hit, and
+    times outside the grid) all lie in the last column, and their total reads
+    -inf, so no comparison admits them.  A row k below the lowest one held,
+    steps + 1 - total.size, reads the values of its mirror steps - k.
 
     delta bounds the distance of either screened value from the one
     antipodal_scan gives at the same grid point.  With eps = 2^-52,
-    T = tau_max max|E|, n = M + 1 and eta = 2^-1074:
+    T = tau_max max|E|, n = M + 1 and z = 2^-1074:
     (a) a grid time is k tau_max/steps within two roundings, 1.01 eps
-        tau_max + (steps + 2) eta (subnormal steps included), so
-        |tau_c - tau_j - tau_k| <= 3.01 eps tau_max + 3(steps + 2) eta and the
-        exact phases there differ by at most 3.01 eps T + 3(steps + 2) eta max|E|;
+        tau_max + (steps + 2) z (subnormal steps included), so
+        |tau_c - tau_j - tau_k| <= 3.01 eps tau_max + 3(steps + 2) z and the
+        exact phases there differ by at most 3.01 eps T + 3(steps + 2) z max|E|;
     (b) a computed eigenphase is within r = eps T/2 + 2 eps of the exact one at
         its time (one rounding of tau E, then cos and sin within an ulp), with
         modulus at most 1 + 2 eps, so a screened product is within 2.01 r and
@@ -296,28 +310,68 @@ def _screen(spec: walk.WalkSpec, taus: np.ndarray):
         fixed-order sum, of the anchor-weight products and of the BLAS sum,
         in any order, adds at most 1.5(n + 2) eps;
     so the two sums differ by e <= 4.6 eps T + 9.1 eps + 1.5 n eps +
-    3(steps + 2) eta max|E|.  (d) Both sums have modulus at most 1.01, so the
+    3(steps + 2) z max|E|.  (d) Both sums have modulus at most 1.01, so the
     squared moduli, each re^2 + im^2 within 1.03 eps, differ by at most
     2.02 e + 2.1 eps, and the totals, one more rounding each, by 4.04 e +
-    6.3 eps <= 18.6 eps T + 43.1 eps + 6.1 n eps + 12.2(steps + 2) eta max|E|.
-    delta = 64 eps (1 + T) + 8 n eps + 16(steps + 2) eta max|E| exceeds that
+    6.3 eps <= 18.6 eps T + 43.1 eps + 6.1 n eps + 12.2(steps + 2) z max|E|.
+    delta = 64 eps (1 + T) + 8 n eps + 16(steps + 2) z max|E| exceeds that
     by more than 16 eps + 45 eps T, which covers the rounding of delta and of
-    the comparisons that use it.
+    the comparisons that use it.  Against the exact sum of the float model
+    (E_s in real arithmetic from the float alpha and beta) each phase moves
+    by eps T more (walk.resolves (a)), which the same room covers.
+
+    The mirror.  integers = (p, q) (1, 0 at beta = 0) says that taus spans
+    _scan_window of a certificate with E_s - E_0 = u d_s for the integers
+    d_s = p s(s - M) - q s (RevivalTimes): a whole number of periods 2 pi/|u|
+    in the rational model alpha' = beta p/q (alpha itself at beta = 0).  Its
+    weights are real, so its sum at W - tau is the conjugate of its sum at
+    tau, and |mu| and |nu| agree at tau and W - tau: on the grid, at rows k
+    and steps - k.  eta bounds the distance of the exact pass's values there:
+    (e) the model gap: alpha - alpha' moves each E_s - E_0 by at most
+        g M^2/4, g = |alpha - alpha'|, so a modulus by at most
+        g' = 1.01 tau_max g M^2/4 at each of tau_k and W - tau_k;
+    (f) the times: by (a), tau_k + tau_{steps-k} is within 2.02 eps tau_max +
+        2(steps + 2) z of tau_max, which _scan_window rounded from W at most
+        four times (pi, q, product, quotient), 2.01 eps tau_max; a modulus
+        moves by at most that distance rho times max|E_s - E_0| <= 2.01 R,
+        R = max|E|;
+    (g) each exact-pass amplitude lies within its rounding account
+        3 eps T + 2 n eps of the float model (walk.resolves);
+    so the moduli at rows k and steps - k differ by e' <= 14.2 eps T +
+    4 n eps + 2 g' + 4.02(steps + 2) z R, and by (d) the totals by
+    4.04 e' + 6.3 eps <= 57.4 eps T + 16.2 n eps + 8.2 tau_max g M^2/4 +
+    16.3(steps + 2) z R + 6.3 eps.  eta = 64 eps T + 20 n eps +
+    9 tau_max g M^2/4 + 20(steps + 2) z R exceeds that with room for its own
+    rounding.  The screen then holds the anchors down to row steps/2 alone,
+    and a row below reads its mirror's values, within delta of the mirror's
+    exact value and so within delta + eta of its own: it returns delta + eta.
+    Without integers, or where eta reaches delta + SCAN_TOL (the mirror would
+    more than double the width SCAN_TOL + delta of the balanced band), it
+    holds every row and returns delta.
     """
     steps = len(taus) - 1
     block = isqrt(steps) + 1
     weights = kraw.column_weights(spec.M, (0, spec.M)).T  # with its size refusal, before any exp
-    weighted = walk.phase_table(spec, taus[::-block])[:, :, None] * weights  # the anchors, from tau_max down
-    offsets = walk.phase_table(spec, taus[:block])
-    sums = offsets.conj() @ weighted.transpose(1, 0, 2).reshape(spec.M + 1, -1)
-    corner, total = _probabilities(*sums.reshape(block, -1, 2).transpose(2, 0, 1))
-    total[steps - (total.shape[1] - 1) * block:, -1] = -inf
+    eps, tiny = walk.EPS, 2.0 ** -1074
+    n, largest, tau_max = spec.M + 1, spec.reach, float(taus[-1])
+    delta = 64 * eps * (1.0 + tau_max * largest) + 8 * n * eps + 16 * (steps + 2) * (tiny * largest)
+    eta = inf
+    if integers is not None:
+        p, q = integers
+        (a, a_den), (b, b_den) = float(spec.alpha).as_integer_ratio(), float(spec.beta).as_integer_ratio()
+        # g = |alpha q - beta p|/q in integers, one rounding (zero at beta = 0, where alpha' = alpha)
+        gap = abs(a * b_den * q - b * a_den * p) / (a_den * b_den * q) if q else 0.0
+        eta = (64 * eps * tau_max * largest + 20 * n * eps + 2.25 * tau_max * gap * spec.M ** 2
+               + 20 * (steps + 2) * (tiny * largest))
+    mirrored = eta < delta + SCAN_TOL
+    anchors = (steps // 2 if mirrored else steps) // block + 1
 
-    eps, eta = walk.EPS, 2.0 ** -1074
-    largest = spec.reach
-    delta = (64 * eps * (1.0 + float(taus[-1]) * largest) + 8 * (spec.M + 1) * eps
-             + 16 * (steps + 2) * (eta * largest))
-    return corner, total, delta
+    table = walk.phase_table(spec, np.concatenate((taus[::-block][:anchors], taus[:block])))
+    weighted = table[:anchors, :, None] * weights  # the anchors, from tau_max down
+    sums = table[anchors:].conj() @ weighted.transpose(1, 0, 2).reshape(n, -1)
+    corner, total = _probabilities(*sums.reshape(block, -1, 2).transpose(2, 0, 1))
+    total[steps - (anchors - 1) * block:, -1] = -inf
+    return corner, total, delta + eta if mirrored else delta
 
 
 def scan_balanced_fr(
@@ -344,19 +398,27 @@ def scan_balanced_fr(
     return _scan(spec, tau_max, steps)[0]
 
 
-def _scan(spec: walk.WalkSpec, tau_max: float, steps: int, tau: float | None = None):
+def _scan(spec: walk.WalkSpec, tau_max: float, steps: int, tau: float | None = None,
+          integers: tuple[int, int] | None = None):
     """scan_balanced_fr's outcome, with the time and amplitudes of one more point from the same exact pass.
 
     The point is tau, appended to the exact evaluations, or the grid's best
     point (tau_at_max_sum) when tau is None; its row is the one
-    antipodal_amplitudes gives at that time, bit for bit.
+    antipodal_amplitudes gives at that time, bit for bit.  One threshold
+    pass at the lower of the two bars finds the candidates, and both
+    conditions run on those alone.  integers, for a window of _scan_window,
+    lets _screen hold half the grid (its mirror): a candidate's mirror
+    below the rows held is a candidate too.
     """
     taus = tau_grid(0.0, tau_max, steps)
-    corner, total, delta = _screen(spec, taus)
-    near = total >= total.max() - 2 * delta
-    near |= (total >= 1.0 - SCAN_TOL - delta) & (np.abs(corner - 0.5) <= SCAN_TOL + delta)
-    offset, anchor = np.divmod(np.flatnonzero(near), near.shape[1])
-    idx = np.sort(steps - len(total) * anchor - offset)
+    corner, total, delta = _screen(spec, taus, integers)
+    top, bar = total.max() - 2 * delta, 1.0 - SCAN_TOL - delta
+    at = np.flatnonzero(total >= min(top, bar))
+    near, pm = total.ravel()[at], corner.ravel()[at]
+    at = at[(near >= top) | ((near >= bar) & (np.abs(pm - 0.5) <= SCAN_TOL + delta))]
+    offset, anchor = np.divmod(at, total.shape[1])
+    rows = steps - len(total) * anchor - offset
+    idx = np.sort(np.concatenate((rows, steps - rows[(rows >= total.size) & (rows < steps)])))
 
     times = taus[idx] if tau is None else np.append(taus[idx], tau)
     mus, nus = walk.antipodal_scan(spec, times)
@@ -425,7 +487,12 @@ def certify_numeric(
     PST_only: probability one at the antipode at tau_PST.  none: a scan of
     DEFAULT_SCAN_STEPS points over one period must find no balanced revival;
     mu and nu, at tau_FR or else at the scan's best point, come from the
-    scan's exact pass.  At M <= ENGINE_CHECK_MAX_M every kind also needs the
+    scan's exact pass.  Where the ratio gives integers (_integers: p/q, or
+    beta = 0) the screen holds the upper half of the period and reads the
+    lower half from its mirror, unless alpha lies so far from beta p/q that
+    the mirror's bound eta reaches delta + SCAN_TOL (_screen); a ratio with
+    no close rational screens every row.  The outcome is the same either
+    way, bit for bit.  At M <= ENGINE_CHECK_MAX_M every kind also needs the
     FWHT evolution to match the closed-form amplitudes within 1e-9
     (checks["engine_dev"]); above that no 2^M state is built.  The
     certificate and the spectrum (spec.energies) are derived once.
@@ -458,9 +525,11 @@ def certify_numeric(
         checks = {"nu_abs": abs(amp.nu), "leakage": abs(amp.leakage)}
         gates = [("nu_abs", checks["nu_abs"] > 1.0 - PROB_TOL, PROB_TOL, tau)]
     else:
-        # kind == NONE: sweep one period of the spectrum; mu and nu at tau_FR (or the best point) come from its exact pass
-        tau = _fr_time(cert.alpha, cert.beta, cert.q) if cert.beta == 0.0 or cert.q else None
-        outcome, tau, amp = _scan(spec, _scan_window(cert), DEFAULT_SCAN_STEPS, tau)
+        # kind == NONE: sweep one period of the spectrum, half of it read from mirrors where the ratio
+        # gives integers; mu and nu at tau_FR (or the best point) come from its exact pass
+        integers = _integers(cert)
+        tau = _fr_time(cert.alpha, cert.beta, cert.q) if integers else None
+        outcome, tau, amp = _scan(spec, _scan_window(cert), DEFAULT_SCAN_STEPS, tau, integers)
         checks = {"max_revival_sum": outcome.max_revival_sum}
         gates = [("max_revival_sum", not outcome.balanced_found, SCAN_TOL, outcome.tau_max)]
 

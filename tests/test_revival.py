@@ -3,7 +3,7 @@
 import dataclasses
 import tracemalloc
 from fractions import Fraction
-from math import gcd, pi
+from math import gcd, isqrt, pi
 
 import numpy as np
 import pytest
@@ -724,6 +724,11 @@ def test_a_refusal_runs_exp_on_few_grid_points(monkeypatch):
     assert rep.certificate.kind == revival.NONE and rep.passed
     grid = (revival.DEFAULT_SCAN_STEPS + 1) * 9
     assert 0 < sum(counted) <= 0.05 * grid
+    # one exp for the screen and one for the exact pass; over a whole period the screen
+    # reads the lower half from mirrors, so it holds at most half its anchors plus one, and the B offsets
+    block = isqrt(revival.DEFAULT_SCAN_STEPS) + 1
+    anchors = revival.DEFAULT_SCAN_STEPS // block + 1
+    assert len(counted) == 2 and counted[0] <= (anchors // 2 + 1 + block) * 9
 
 
 @pytest.mark.parametrize("alpha, share", [(1e11 + 1, 0.1), (1e12 + 1, 1.0)])
@@ -734,6 +739,64 @@ def test_a_large_tau_times_energy_falls_back_toward_the_full_grid(monkeypatch, a
     screened = revival.scan_balanced_fr(spec, tau_max)
     assert sum(counted) > share * (revival.DEFAULT_SCAN_STEPS + 1) * 9
     assert repr(screened) == repr(oracle.full_grid_scan(spec, tau_max))
+
+
+@st.composite
+def period_windows(draw, steps=st.sampled_from((1, 2, 3, 10 ** 4))):
+    """(N, alpha, beta, p, q, steps): beta = 0, or p/q in lowest terms with q up to 999,999, over a window of _scan_window."""
+    N = draw(st.integers(2, 14))
+    size = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.3, 3.0))
+    steps = draw(steps)
+    if draw(st.booleans()):
+        return N, size, 0.0, None, None, steps
+    p, q = draw(st.integers(-12, 12)), draw(st.one_of(st.integers(1, 11), st.integers(1, 999_999)))
+    assume(gcd(p, q) == 1)
+    return N, size * p / q, size, p, q, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(period_windows())
+@example((9, 0.7 * 999_997 / 999_999, 0.7, 999_997, 999_999, 10 ** 4))  # tau_max ~ 9e6
+@example((12, 1.3, 0.0, None, None, 10 ** 4))
+def test_a_whole_period_agrees_with_its_mirror_within_a_quarter_of_eta(inputs):
+    *model, steps = inputs
+    spec, tau_max = scan_case(*model)
+    taus = revival.tau_grid(0.0, tau_max, steps)
+    integers = revival._integers(revival.check_conditions(*model))
+    _, held, delta = revival._screen(spec, taus)
+    _, mirrored, widened = revival._screen(spec, taus, integers)
+    eta = widened - delta
+    assert eta > 0 and mirrored.size <= held.size  # the mirror is taken
+    corner, total = revival._probabilities(*walk.antipodal_scan(spec, taus))
+    # rows k and steps - k of the exact pass, tau = 0 and tau_max included
+    assert np.abs(corner - corner[::-1]).max() <= eta / 4
+    assert np.abs(total - total[::-1]).max() <= eta / 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(period_windows(steps=st.one_of(st.integers(1, 64), st.just(10 ** 4))))
+@example((2, -1.0, 0.0, None, None, 3))  # the first maximum, row 1, is the mirror of row 2, the lowest held
+def test_a_mirrored_scan_equals_the_full_grid(inputs):
+    # a whole period's maximum recurs at its mirror, so the first one often lies in the half read from mirrors
+    *model, steps = inputs
+    spec, tau_max = scan_case(*model)
+    integers = revival._integers(revival.check_conditions(*model))
+    assert repr(revival._scan(spec, tau_max, steps, integers=integers)[0]) == repr(oracle.full_grid_scan(spec, tau_max, steps))
+
+
+@pytest.mark.parametrize("N, alpha, beta, p, q", [
+    (9, 0.6 + 9e-10, 1.0, 3, 5),       # p/q within RATIO_TOL, 9e-10 from alpha/beta: eta ~ 4e-6
+    (12, -1.5 - 9e-10, 1.0, -3, 2),
+    (9, 2.0 + 1e-8, -1.0, None, None),  # no close rational: no integers
+])
+def test_a_refusal_far_from_its_rational_model_screens_every_row(monkeypatch, N, alpha, beta, p, q):
+    counted = count_exp_elements(monkeypatch)
+    rep = revival.certify_numeric(N, alpha, beta, p, q)
+    assert rep.certificate.kind == revival.NONE
+    block = isqrt(revival.DEFAULT_SCAN_STEPS) + 1
+    assert counted[0] == (revival.DEFAULT_SCAN_STEPS // block + 1 + block) * N
+    spec = walk.WalkSpec(N - 1, alpha, beta)
+    assert repr(rep.scan) == repr(oracle.full_grid_scan(spec, revival._scan_window(rep.certificate)))
 
 
 def refusal_cases():

@@ -2,14 +2,14 @@
 
 import tracemalloc
 from fractions import Fraction
-from math import comb, pi, sqrt
+from math import comb, gcd, pi, sqrt
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fracrevival import errors, oracle, scheme, walk
+from fracrevival import errors, oracle, revival, scheme, walk
 from fracrevival.errors import InvalidInputError, ResourceLimitError
 
 
@@ -462,3 +462,35 @@ def test_corner_and_antipode_amplitudes_stay_within_the_rounding_account(M, alph
     exact_mu, exact_nu = exact_corner_and_antipode(M, alpha, beta, tau)
     bound = 3 * walk.EPS * abs(tau) * spec.reach + 2 * (M + 1) * walk.EPS
     assert abs(mu - exact_mu) <= bound and abs(nu - exact_nu) <= bound
+
+
+def screened_at(values, steps, rows):
+    """The screen's values (revival._screen's layout) at grid rows; a row below those held reads its mirror steps - k."""
+    held = [k if k > steps - values.size else steps - k for k in rows]
+    # entry (j, a) holds grid row steps - a B - j
+    return np.array([values[(steps - k) % len(values), (steps - k) // len(values)] for k in held])
+
+
+@settings(max_examples=40, deadline=None)
+@example(N=13, alpha=1.3, beta=0.0, p=None, q=None, steps=10 ** 4, mirror=True, picks=[1, 2, 4999, 5000, 5001, 9999])
+@example(N=9, alpha=0.6, beta=1.0, p=3, q=5, steps=10 ** 4, mirror=False, picks=[1, 100, 101, 9898, 9999, 10 ** 4])
+@given(N=st.integers(2, 13), alpha=st.floats(0.3, 3.0), beta=st.sampled_from((0.0, 1.0, -0.7, 2.5)),
+       p=st.integers(-12, 12), q=st.integers(1, 11), steps=st.sampled_from((1, 2, 3, 10 ** 4)),
+       mirror=st.booleans(), picks=st.lists(st.integers(1, 10 ** 4), min_size=1, max_size=6))
+def test_the_screen_stays_within_delta_of_the_exact_reference(N, alpha, beta, p, q, steps, mirror, picks):
+    # revival._screen at sampled grid rows of a window of _scan_window, every row held or half of
+    # them read from mirrors, against the pure-integer sums of the same float model
+    if beta != 0.0:
+        assume(gcd(p, q) == 1)
+        alpha = beta * p / q
+    else:
+        p = q = None
+    cert = revival.check_conditions(N, alpha, beta, p, q)
+    spec = walk.WalkSpec(N - 1, alpha, beta)
+    taus = revival.tau_grid(0.0, revival._scan_window(cert), steps)
+    corner, total, delta = revival._screen(spec, taus, revival._integers(cert) if mirror else None)
+    rows = sorted({k % steps + 1 for k in picks})
+    exact = np.array([exact_corner_and_antipode(N - 1, alpha, beta, float(taus[k])) for k in rows])
+    exact_corner = np.abs(exact[:, 0]) ** 2
+    assert np.abs(screened_at(corner, steps, rows) - exact_corner).max() <= delta
+    assert np.abs(screened_at(total, steps, rows) - exact_corner - np.abs(exact[:, 1]) ** 2).max() <= delta
