@@ -27,11 +27,11 @@ classes of column 0 from the site-1 chain, the walk's distance quotient,
 evolved on its own recurrence eigenvectors in the walk's spectrum (chain.chain_evolve).
 
 A refusal sweeps one period of the spectrum, 10^4 steps (_scan), and
-evaluates exactly only the grid points a screen of the whole grid cannot
-rule out (_screen).  Where the ratio gives integers the window is a whole
-number of periods, and the revival sum, with real weights, is
-mirror-symmetric over it: rows k and steps - k agree within a derived eta,
-so the screen holds half the grid and reads the rest from mirrors.
+evaluates exactly only the grid rows a screen of every row cannot rule out
+(_screen).  Where the ratio gives integers the window is a whole number of
+periods, and the revival sum, with real weights, is mirror-symmetric over
+it: rows k and steps - k agree within a derived eta, so the screen computes
+half the grid and fills the rest from mirrors; only _screen knows which.
 
 The float checks are cross-checks.  Where 3 eps |tau| max|E| reaches a gate
 (walk.resolves), rounding alone can move a value that far, so the report
@@ -101,7 +101,8 @@ def _rationalize(alpha: float, beta: float, p: int | None, q: int | None):
     """alpha/beta as a reduced fraction, or None when no close rational exists.
 
     A ratio that is not finite (beta = 0, or an overflowing quotient) has no
-    close rational.  An explicit p/q must lie within RATIO_TOL of alpha/beta.
+    close rational.  An explicit p/q must lie within RATIO_TOL of alpha/beta,
+    and its q in lowest terms must convert to a float, as every time of q does.
     """
     ratio = float(alpha) / float(beta) if beta != 0.0 else copysign(inf, alpha)
     if p is not None or q is not None:
@@ -110,9 +111,12 @@ def _rationalize(alpha: float, beta: float, p: int | None, q: int | None):
         # below 2^1023, p / q cannot overflow; an infinite ratio agrees with no p/q
         if not (abs(p) < abs(q) << 1023 and abs(ratio - p / q) <= RATIO_TOL):
             raise InvalidInputError(f"p/q = {p}/{q} contradicts alpha/beta = {ratio}")
-        sign = -1 if q < 0 else 1
-        g = gcd(abs(p), abs(q))
-        return sign * p // g, abs(q) // g
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        try:
+            float(q // g)
+        except OverflowError:
+            raise InvalidInputError(f"q = {q // g} in lowest terms is too large for a float") from None
+        return p // g, q // g
     if not isfinite(ratio):
         return None
     frac = Fraction(ratio).limit_denominator(MAX_DENOMINATOR)
@@ -288,12 +292,11 @@ def _screen(spec: walk.WalkSpec, taus: np.ndarray, integers: tuple[int, int] | N
     e^{-i tau_k E} is about e^{-i tau_c E} conj(e^{-i tau_j E}).  One exp runs
     on the anchors and the B offsets together, and one matrix product (BLAS)
     forms the weighted sums.  The anchors start at tau_max, so phase_table
-    makes its refusals on the grid's largest time before any exp.  Both
-    arrays keep the product's layout: entry (j, a) is grid row steps - aB - j.
-    The rows it holds at and below 0 (tau = 0, swept but never a hit, and
-    times outside the grid) all lie in the last column, and their total reads
-    -inf, so no comparison admits them.  A row k below the lowest one held,
-    steps + 1 - total.size, reads the values of its mirror steps - k.
+    makes its refusals on the grid's largest time before any exp.  Entry k
+    of either array is grid row k.  The product runs each anchor over its B
+    offsets, so the rows held are contiguous from tau_max down, and a row k
+    below them reads the values of its mirror steps - k.  total[0] reads
+    -inf: tau = 0 is swept but never a hit, so no comparison admits it.
 
     delta bounds the distance of either screened value from the one
     antipodal_scan gives at the same grid point.  With eps = 2^-52,
@@ -351,7 +354,7 @@ def _screen(spec: walk.WalkSpec, taus: np.ndarray, integers: tuple[int, int] | N
     """
     steps = len(taus) - 1
     block = isqrt(steps) + 1
-    weights = kraw.column_weights(spec.M, (0, spec.M)).T  # with its size refusal, before any exp
+    weights = kraw.column_weights(spec.M, (0, spec.M))  # with its size refusal, before any exp
     eps, tiny = walk.EPS, 2.0 ** -1074
     n, largest, tau_max = spec.M + 1, spec.reach, float(taus[-1])
     delta = 64 * eps * (1.0 + tau_max * largest) + 8 * n * eps + 16 * (steps + 2) * (tiny * largest)
@@ -367,10 +370,12 @@ def _screen(spec: walk.WalkSpec, taus: np.ndarray, integers: tuple[int, int] | N
     anchors = (steps // 2 if mirrored else steps) // block + 1
 
     table = walk.phase_table(spec, np.concatenate((taus[::-block][:anchors], taus[:block])))
-    weighted = table[:anchors, :, None] * weights  # the anchors, from tau_max down
-    sums = table[anchors:].conj() @ weighted.transpose(1, 0, 2).reshape(n, -1)
-    corner, total = _probabilities(*sums.reshape(block, -1, 2).transpose(2, 0, 1))
-    total[steps - (anchors - 1) * block:, -1] = -inf
+    # sums[c, aB + j] weighs with class (0, M)[c] at anchor a and offset j: grid row steps - aB - j
+    sums = ((weights[:, None] * table[:anchors]).reshape(-1, n) @ table[anchors:].conj().T).reshape(2, -1)
+    values = np.array(_probabilities(*sums))
+    held = values[:, steps::-1]  # ascending to row steps
+    corner, total = np.concatenate((values[:, :steps + 1 - held.shape[1]], held), axis=1)
+    total[0] = -inf
     return corner, total, delta + eta if mirrored else delta
 
 
@@ -388,7 +393,7 @@ def scan_balanced_fr(
 
     The outcome is, field for field and bit for bit, the one antipodal_scan
     on every grid point gives (oracle.full_grid_scan), but exp runs on few
-    points: _screen approximates the whole grid within delta, and only the
+    points: _screen gives every grid row within delta, and only the
     points that could decide the outcome are evaluated exactly, those within
     2 delta of the screened maximum and those within delta of the balanced
     thresholds.  Every other point is provably neither the first maximum
@@ -405,25 +410,22 @@ def _scan(spec: walk.WalkSpec, tau_max: float, steps: int, tau: float | None = N
     The point is tau, appended to the exact evaluations, or the grid's best
     point (tau_at_max_sum) when tau is None; its row is the one
     antipodal_amplitudes gives at that time, bit for bit.  One threshold
-    pass at the lower of the two bars finds the candidates, and both
-    conditions run on those alone.  integers, for a window of _scan_window,
-    lets _screen hold half the grid (its mirror): a candidate's mirror
-    below the rows held is a candidate too.
+    pass at the lower of the two bars finds the candidate rows, in grid
+    order, and both conditions run on those alone.  integers, for a window
+    of _scan_window, lets _screen compute half the grid and fill the rest
+    from mirrors; its rows read the same either way.
     """
     taus = tau_grid(0.0, tau_max, steps)
     corner, total, delta = _screen(spec, taus, integers)
     top, bar = total.max() - 2 * delta, 1.0 - SCAN_TOL - delta
-    at = np.flatnonzero(total >= min(top, bar))
-    near, pm = total.ravel()[at], corner.ravel()[at]
-    at = at[(near >= top) | ((near >= bar) & (np.abs(pm - 0.5) <= SCAN_TOL + delta))]
-    offset, anchor = np.divmod(at, total.shape[1])
-    rows = steps - len(total) * anchor - offset
-    idx = np.sort(np.concatenate((rows, steps - rows[(rows >= total.size) & (rows < steps)])))
+    idx = np.flatnonzero(total >= min(top, bar))
+    near, pm = total[idx], corner[idx]
+    idx = idx[(near >= top) | ((near >= bar) & (np.abs(pm - 0.5) <= SCAN_TOL + delta))]
 
     times = taus[idx] if tau is None else np.append(taus[idx], tau)
     mus, nus = walk.antipodal_scan(spec, times)
     corner, total = _probabilities(mus[:idx.size], nus[:idx.size])
-    balanced = (total >= 1.0 - SCAN_TOL) & (np.abs(corner - 0.5) <= SCAN_TOL) & (taus[idx] > 0)
+    balanced = (total >= 1.0 - SCAN_TOL) & (np.abs(corner - 0.5) <= SCAN_TOL)
     hits = idx[balanced]
     best = int(np.argmax(total))
     outcome = ScanOutcome(
@@ -488,13 +490,10 @@ def certify_numeric(
     DEFAULT_SCAN_STEPS points over one period must find no balanced revival;
     mu and nu, at tau_FR or else at the scan's best point, come from the
     scan's exact pass.  Where the ratio gives integers (_integers: p/q, or
-    beta = 0) the screen holds the upper half of the period and reads the
-    lower half from its mirror, unless alpha lies so far from beta p/q that
-    the mirror's bound eta reaches delta + SCAN_TOL (_screen); a ratio with
-    no close rational screens every row.  The outcome is the same either
-    way, bit for bit.  At M <= ENGINE_CHECK_MAX_M every kind also needs the
-    FWHT evolution to match the closed-form amplitudes within 1e-9
-    (checks["engine_dev"]); above that no 2^M state is built.  The
+    beta = 0) _screen may fill half the period from mirrors; the outcome is
+    the same either way, bit for bit.  At M <= ENGINE_CHECK_MAX_M every kind
+    also needs the FWHT evolution to match the closed-form amplitudes within
+    1e-9 (checks["engine_dev"]); above that no 2^M state is built.  The
     certificate and the spectrum (spec.energies) are derived once.
     """
     cert = check_conditions(N, alpha, beta, p=p, q=q)
@@ -525,8 +524,7 @@ def certify_numeric(
         checks = {"nu_abs": abs(amp.nu), "leakage": abs(amp.leakage)}
         gates = [("nu_abs", checks["nu_abs"] > 1.0 - PROB_TOL, PROB_TOL, tau)]
     else:
-        # kind == NONE: sweep one period of the spectrum, half of it read from mirrors where the ratio
-        # gives integers; mu and nu at tau_FR (or the best point) come from its exact pass
+        # kind == NONE: sweep one period; mu and nu at tau_FR (or the best point) come from its exact pass
         integers = _integers(cert)
         tau = _fr_time(cert.alpha, cert.beta, cert.q) if integers else None
         outcome, tau, amp = _scan(spec, _scan_window(cert), DEFAULT_SCAN_STEPS, tau, integers)

@@ -431,12 +431,30 @@ def test_scan_and_library_share_tau_grid_refusals(capsys, monkeypatch, tau_max, 
     # p = 2^1024 - 1 is no float: the ratio is refused before p / q is formed
     (["verify", "--N", "3", "--alpha", "1e308", "--beta", "1", "--p", str(2 ** 1024 - 1), "--q", "1"],
      f"p/q = {2 ** 1024 - 1}/1 contradicts alpha/beta = 1e+308"),
+    # p/q agrees with alpha/beta, but q = 10^400 in lowest terms is no float, so no time of q is one
+    *(pytest.param(command + ["--N", N, "--alpha", "1", "--beta", "1", "--p", str(10 ** 400 + 1), "--q", str(10 ** 400)],
+                   f"q = {10 ** 400} in lowest terms is too large for a float", id=f"{command[0]}-N{N}-q-1e400")
+      for command, N in [(["verify"], "3"), (["verify"], "4"), (["appendix"], "3"),
+                         (["evolve", "--tau", "fr"], "3"), (["quotient", "--tau", "fr"], "3")]),
 ])
 def test_ratio_inputs_exit_one_with_one_line(capsys, argv, message):
     code, out, err = run_without_warnings(capsys, argv)
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("command", [["verify"], ["appendix"], ["evolve", "--tau", "fr"], ["evolve", "--tau", "pst"],
+                                     ["quotient", "--tau", "fr"], ["quotient"], ["scan", "--steps", "3"]])
+@pytest.mark.parametrize("N, beta", [(3, 1.0), (4, -1.0), (5, 1e-300)])
+def test_a_q_at_the_largest_float_exits_without_a_traceback(capsys, command, N, beta):
+    # q converts to a float, so _rationalize keeps it; the times it gives may overflow, and are refused
+    q = int(sys.float_info.max)
+    argv = command + ["--N", str(N), "--alpha", repr(beta * (q + 1) / q), "--beta", repr(beta),
+                      "--p", str(q + 1), "--q", str(q)]
+    code, out, err = run(capsys, argv)
+    assert code in (0, 1, 2)
+    assert code != 1 or (out == "" and len(err.splitlines()) == 1 and err.startswith("error: "))
 
 
 @pytest.mark.parametrize("argv", [

@@ -350,8 +350,12 @@ def test_ratio_without_a_close_rational_or_contradicting_pq():
         revival.check_conditions(4, 1.0, 1e-310, p=1, q=1)
     with pytest.raises(InvalidInputError, match="contradicts alpha/beta = 1.0"):
         revival.check_conditions(4, 1.0, 1.0, p=10 ** 400, q=1)  # p / q would overflow a float
-    # agreement within RATIO_TOL is accepted, huge integers included
-    assert revival.check_conditions(4, 1.0, 1.0, p=10 ** 400 + 1, q=10 ** 400).p == 10 ** 400 + 1
+    # agreement within RATIO_TOL is accepted, huge integers included, while q in lowest terms is a float
+    assert revival.check_conditions(4, 1.5, 1.0, p=3 * 10 ** 400, q=2 * 10 ** 400).q == 2
+    edge = 2 ** 1024 - 2 ** 970  # the least integer float() refuses: it rounds up to 2^1024
+    assert revival.check_conditions(4, 1.0, 1.0, p=edge - 2, q=edge - 1).q == edge - 1
+    with pytest.raises(InvalidInputError, match=f"q = {edge} in lowest terms is too large for a float"):
+        revival.check_conditions(4, 1.0, 1.0, p=edge + 1, q=edge)
 
 
 def test_appendix_refuses_without_balanced_fr():
@@ -693,15 +697,11 @@ def test_screen_error_is_within_a_quarter_of_its_bound(inputs):
     spec, tau_max = scan_case(*model, stretch)
     taus = revival.tau_grid(0.0, tau_max, steps)
     corner, total, delta = revival._screen(spec, taus)
-    # entry (j, a) is grid row steps - a B - j, B offsets; rows 0 and below read -inf
-    offset, anchor = np.indices(total.shape)
-    rows = steps - len(total) * anchor - offset
-    grid = rows > 0
-    assert sorted(rows[grid]) == list(range(1, steps + 1))
-    assert (total[~grid] == -np.inf).all()
+    # entry k is grid row k; row 0 (tau = 0) is swept but never a hit, so its total reads -inf
+    assert corner.shape == total.shape == taus.shape and total[0] == -np.inf
     exact_corner, exact_total = revival._probabilities(*walk.antipodal_scan(spec, taus))
-    assert np.abs(corner[grid] - exact_corner[rows[grid]]).max() <= delta / 4
-    assert np.abs(total[grid] - exact_total[rows[grid]]).max() <= delta / 4
+    assert np.abs(corner - exact_corner).max() <= delta / 4
+    assert np.abs(total[1:] - exact_total[1:]).max() <= delta / 4
 
 
 def count_exp_elements(monkeypatch) -> list:
@@ -763,14 +763,24 @@ def test_a_whole_period_agrees_with_its_mirror_within_a_quarter_of_eta(inputs):
     spec, tau_max = scan_case(*model)
     taus = revival.tau_grid(0.0, tau_max, steps)
     integers = revival._integers(revival.check_conditions(*model))
-    _, held, delta = revival._screen(spec, taus)
-    _, mirrored, widened = revival._screen(spec, taus, integers)
+    with pytest.MonkeyPatch.context() as patch:
+        counted = count_exp_elements(patch)
+        _, _, delta = revival._screen(spec, taus)
+        screened_corner, screened_total, widened = revival._screen(spec, taus, integers)
     eta = widened - delta
-    assert eta > 0 and mirrored.size <= held.size  # the mirror is taken
+    # the mirror is taken: fewer exp elements (from two steps on), and the rows below those
+    # held, at least the lower half less one block of isqrt(steps) + 1, read their mirrors bit for bit
+    assert eta > 0 and counted[1] <= counted[0] and (counted[1] < counted[0] or steps < 2)
+    below = slice(1, steps // 2 - isqrt(steps))
+    assert repr(screened_corner[below].tolist()) == repr(screened_corner[::-1][below].tolist())
+    assert repr(screened_total[below].tolist()) == repr(screened_total[::-1][below].tolist())
     corner, total = revival._probabilities(*walk.antipodal_scan(spec, taus))
     # rows k and steps - k of the exact pass, tau = 0 and tau_max included
     assert np.abs(corner - corner[::-1]).max() <= eta / 4
     assert np.abs(total - total[::-1]).max() <= eta / 4
+    # every row of the mirrored screen, held or read from its mirror, within delta + eta of the exact pass
+    assert np.abs(screened_corner - corner).max() <= widened
+    assert np.abs(screened_total[1:] - total[1:]).max() <= widened
 
 
 @settings(max_examples=150, deadline=None)

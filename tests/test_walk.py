@@ -464,13 +464,6 @@ def test_corner_and_antipode_amplitudes_stay_within_the_rounding_account(M, alph
     assert abs(mu - exact_mu) <= bound and abs(nu - exact_nu) <= bound
 
 
-def screened_at(values, steps, rows):
-    """The screen's values (revival._screen's layout) at grid rows; a row below those held reads its mirror steps - k."""
-    held = [k if k > steps - values.size else steps - k for k in rows]
-    # entry (j, a) holds grid row steps - a B - j
-    return np.array([values[(steps - k) % len(values), (steps - k) // len(values)] for k in held])
-
-
 @settings(max_examples=40, deadline=None)
 @example(N=13, alpha=1.3, beta=0.0, p=None, q=None, steps=10 ** 4, mirror=True, picks=[1, 2, 4999, 5000, 5001, 9999])
 @example(N=9, alpha=0.6, beta=1.0, p=3, q=5, steps=10 ** 4, mirror=False, picks=[1, 100, 101, 9898, 9999, 10 ** 4])
@@ -492,5 +485,5 @@ def test_the_screen_stays_within_delta_of_the_exact_reference(N, alpha, beta, p,
     rows = sorted({k % steps + 1 for k in picks})
     exact = np.array([exact_corner_and_antipode(N - 1, alpha, beta, float(taus[k])) for k in rows])
     exact_corner = np.abs(exact[:, 0]) ** 2
-    assert np.abs(screened_at(corner, steps, rows) - exact_corner).max() <= delta
-    assert np.abs(screened_at(total, steps, rows) - exact_corner - np.abs(exact[:, 1]) ** 2).max() <= delta
+    assert np.abs(corner[rows] - exact_corner).max() <= delta
+    assert np.abs(total[rows] - exact_corner - np.abs(exact[:, 1]) ** 2).max() <= delta
